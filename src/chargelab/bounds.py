@@ -112,16 +112,38 @@ class WeightStats:
             raise ValueError("weight statistics require positive weights")
         A = float(np.sum(w))
         B = float(np.sum(w * w))
-        G = float(np.sum(w ** (2.0 / dimension)))
+        G = float(_tangent_radii(w, dimension)[1])
         ratio_lower = float(np.sum(w ** (1.0 + 2.0 / dimension))) / G
         return cls(A=A, B=B, G=G, ratio_lower=ratio_lower, ratio_upper=B / A)
+
+
+def _tangent_radii(weights, d: int):
+    """Tangent radii r_k = a_k^(2/d) / (2^(d+2) G) and G = sum_k a_k^(2/d).
+
+    Batched over leading axes; the charges run along the last one.
+    """
+    powers = weights ** (2.0 / d)
+    G = np.sum(powers, axis=-1)
+    return powers / (2.0 ** (d + 2) * G[..., None]), G
+
+
+def _tangent_form(x, y, r):
+    """|x|^2 - 2(1-r)<x, y> + 1 - 2r for the radius-r ball tangent at unit y.
+
+    Negative iff x lies strictly inside the ball (exact rewrite of
+    |x - (1-r) y| < r when |y| = 1). Broadcasts over leading axes.
+    """
+    return (np.sum(x * x, axis=-1) - 2.0 * (1.0 - r) * np.sum(x * y, axis=-1)
+            + 1.0 - 2.0 * r)
 
 
 class ProofGeometry:
     """Tangent-ball system of the lower-bound proof.
 
     Ball k has radius r_k = a_k^(2/d)/(2^(d+2) G) and sits tangent to the
-    sphere from inside at charge k; radii never exceed 2^-(d+2).
+    sphere from inside at charge k; radii never exceed 2^-(d+2). Radii and
+    membership come from the kernels `_tangent_radii` and `_tangent_form`
+    that the lemma suites share.
     """
 
     def __init__(self, config: ChargeConfiguration):
@@ -129,25 +151,19 @@ class ProofGeometry:
             raise ValueError("tangent-ball geometry requires positive weights")
         if not config.all_boundary:
             raise ValueError("tangent-ball geometry requires boundary charges")
-        d = config.dimension
-        w = config.weights
-        G = float(np.sum(w ** (2.0 / d)))
-        self.dimension = d
+        self.dimension = config.dimension
         self.positions = config.positions
-        self.weights = w
-        self.radii = w ** (2.0 / d) / (2.0 ** (d + 2) * G)
+        self.weights = config.weights
+        self.radii, self.G = _tangent_radii(config.weights, config.dimension)
         self.centers = (1.0 - self.radii)[:, None] * config.positions
 
     def membership_form(self, x) -> np.ndarray:
         """Quadratic form |x|^2 - 2(1-r_k)<x, y_k> + 1 - 2 r_k per ball.
 
-        Negative iff x lies strictly inside ball k (exact rewrite of
-        |x - (1-r_k) y_k| < r_k when |y_k| = 1).
+        Negative iff x lies strictly inside ball k.
         """
-        x = np.asarray(x, dtype=float)
-        xx = float(np.dot(x, x))
-        inner = self.positions @ x
-        return xx - 2.0 * (1.0 - self.radii) * inner + 1.0 - 2.0 * self.radii
+        return _tangent_form(np.asarray(x, dtype=float), self.positions,
+                             self.radii)
 
     def contains(self, x) -> np.ndarray:
         return self.membership_form(x) < _MEMBERSHIP_TOL
@@ -205,9 +221,7 @@ def tangent_ball_gap(y, r, x, d: int):
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any((r <= 0) | (r >= 0.5)):
         raise ValueError("tangent radius must lie in (0, 1/2)")
-    xx = np.sum(x * x, axis=1)
-    form = xx - 2.0 * (1.0 - r) * np.sum(x * y, axis=1) + 1.0 - 2.0 * r
-    if np.any(form > _MEMBERSHIP_TOL):
+    if np.any(_tangent_form(x, y, r) > _MEMBERSHIP_TOL):
         raise ValueError("x must lie in the tangent ball")
     diff = y - x
     dist = np.sqrt(np.sum(diff * diff, axis=1))
@@ -227,12 +241,9 @@ def tangent_ball_ratio_margin(y1, r1, y2, r2, x, d: int):
     r2 = np.atleast_1d(np.asarray(r2, dtype=float))
     if np.any((r1 <= 0) | (r1 >= 0.5) | (r2 <= 0) | (r2 >= 0.5)):
         raise ValueError("tangent radii must lie in (0, 1/2)")
-    xx = np.sum(x * x, axis=1)
-    form1 = xx - 2.0 * (1.0 - r1) * np.sum(x * y1, axis=1) + 1.0 - 2.0 * r1
-    form2 = xx - 2.0 * (1.0 - r2) * np.sum(x * y2, axis=1) + 1.0 - 2.0 * r2
-    if np.any(form1 > _MEMBERSHIP_TOL):
+    if np.any(_tangent_form(x, y1, r1) > _MEMBERSHIP_TOL):
         raise ValueError("x must lie in the first ball")
-    if np.any(form2 < -_MEMBERSHIP_TOL):
+    if np.any(_tangent_form(x, y2, r2) < -_MEMBERSHIP_TOL):
         raise ValueError("x must lie outside the second ball")
     d1 = np.sqrt(np.sum((x - y1) ** 2, axis=1))
     d2 = np.sqrt(np.sum((x - y2) ** 2, axis=1))
@@ -251,6 +262,27 @@ class DominanceReport:
     holds: bool
 
 
+def _dominance_margins(positions, weights, radii, G, x, member, d: int):
+    """Selection-and-margin kernel of the dominance inequality.
+
+    Batched over leading axes, charges along the last one. Among the member
+    balls, selects the charge k minimizing |x_k - x|^2 / r_k (lowest index
+    on ties). Returns k, the smallest relative margin of the selected-charge
+    inequality over j, and the relative margin of the summed comparison.
+    """
+    dist2 = np.sum((positions - x[..., None, :]) ** 2, axis=-1)
+    k = np.argmin(np.where(member, dist2 / radii, np.inf), axis=-1)
+    expo = 1.0 - 2.0 / d
+    dist_pow = dist2 ** (0.5 * (d - 2))
+    rhs = weights ** expo / dist_pow
+    lhs = 2.0 ** d * np.take_along_axis(rhs, k[..., None], axis=-1)
+    min_margin = np.min((lhs - rhs) / np.abs(rhs), axis=-1)
+    sum_lhs = np.sum(2.0 ** (d - 1) * G[..., None] * weights ** expo
+                     / dist_pow * member, axis=-1)
+    sum_rhs = np.sum(weights / (2.0 * dist_pow), axis=-1)
+    return k, min_margin, (sum_lhs - sum_rhs) / np.abs(sum_rhs)
+
+
 def dominance_check(config: ChargeConfiguration, x) -> DominanceReport:
     """Check the key pointwise inequality of the lower-bound proof.
 
@@ -260,34 +292,20 @@ def dominance_check(config: ChargeConfiguration, x) -> DominanceReport:
         2^d a_k^(1-2/d) / |x_k - x|^(d-2)  >=  a_j^(1-2/d) / |x_j - x|^(d-2)
 
     for every j, which implies the summed comparison that drives the bound.
-    Margins are reported relative to the right-hand side's scale.
+    Margins are reported relative to the right-hand side's scale. This is
+    the one-point case of the batched kernel `_dominance_margins` that
+    `run_dominance_suite` runs.
     """
     geo = ProofGeometry(config)
-    d = config.dimension
     x = np.asarray(x, dtype=float)
     member = geo.contains(x)
     if not np.any(member):
         raise ValueError("x must lie in the union of tangent balls")
-    dist2 = np.sum((geo.positions - x[None, :]) ** 2, axis=1)
-    score = np.where(member, dist2 / geo.radii, np.inf)
-    k = int(np.argmin(score))
-
-    w = geo.weights
-    expo = 1.0 - 2.0 / d
-    dist_pow = dist2 ** (0.5 * (d - 2))
-    lhs = 2.0 ** d * w[k] ** expo / dist_pow[k]
-    rhs = w ** expo / dist_pow
-    margins = (lhs - rhs) / np.abs(rhs)
-    min_margin = float(np.min(margins))
-
-    G = float(np.sum(w ** (2.0 / d)))
-    sum_lhs = float(np.sum(
-        2.0 ** (d - 1) * G * w ** expo / dist_pow * member))
-    sum_rhs = float(np.sum(w / (2.0 * dist_pow)))
-    sum_margin = (sum_lhs - sum_rhs) / abs(sum_rhs)
-
+    k, min_margin, sum_margin = _dominance_margins(
+        geo.positions, geo.weights, geo.radii, geo.G, x, member, geo.dimension)
+    min_margin, sum_margin = float(min_margin), float(sum_margin)
     holds = min_margin >= -1e-12 and sum_margin >= -1e-12
-    return DominanceReport(selected=k, min_margin=min_margin,
+    return DominanceReport(selected=int(k), min_margin=min_margin,
                            sum_margin=sum_margin, holds=holds)
 
 
@@ -505,9 +523,7 @@ def run_ratio_suite(trials: int, d: int, seed: int) -> float:
         r2 = gen.uniform(0.005, 0.49, m)
         offs = _ball_points(gen, m, d, shrink=1.0 - 1e-12)
         x = (1.0 - r1)[:, None] * y1 + r1[:, None] * offs
-        xx = np.sum(x * x, axis=1)
-        form2 = xx - 2.0 * (1.0 - r2) * np.sum(x * y2, axis=1) + 1.0 - 2.0 * r2
-        keep = form2 >= -_MEMBERSHIP_TOL
+        keep = _tangent_form(x, y2, r2) >= -_MEMBERSHIP_TOL
         if np.any(keep):
             vals = tangent_ball_ratio_margin(
                 y1[keep], r1[keep], y2[keep], r2[keep], x[keep], d)
@@ -528,13 +544,11 @@ def run_dominance_suite(trials: int, d: int, seed: int,
     per_n = -(-trials // n_max)  # ceil
     failures = 0
     worst = np.inf
-    expo = 1.0 - 2.0 / d
     for n in range(1, n_max + 1):
         gen = substream(seed, "suite-dominance", d, n)
         pos = _sphere_points(gen, per_n * n, d).reshape(per_n, n, d)
         w = np.exp(gen.uniform(np.log(0.1), np.log(10.0), (per_n, n)))
-        G = np.sum(w ** (2.0 / d), axis=1)
-        radii = w ** (2.0 / d) / (2.0 ** (d + 2) * G[:, None])
+        radii, G = _tangent_radii(w, d)
         centers = (1.0 - radii)[:, :, None] * pos
         target = gen.integers(0, n, per_n)
         rows = np.arange(per_n)
@@ -542,27 +556,10 @@ def run_dominance_suite(trials: int, d: int, seed: int,
         x = (centers[rows, target]
              + radii[rows, target][:, None] * offs)
 
-        diff = pos - x[:, None, :]
-        dist2 = np.sum(diff * diff, axis=2)
-        xx = np.sum(x * x, axis=1)
-        form = (xx[:, None] - 2.0 * (1.0 - radii) * np.sum(pos * x[:, None, :],
-                                                           axis=2)
-                + 1.0 - 2.0 * radii)
-        member = form < _MEMBERSHIP_TOL
+        member = _tangent_form(x[:, None, :], pos, radii) < _MEMBERSHIP_TOL
         member[rows, target] = True  # sampled strictly inside; guard fp edge
-        score = np.where(member, dist2 / radii, np.inf)
-        k = np.argmin(score, axis=1)
-
-        dist_pow = dist2 ** (0.5 * (d - 2))
-        lhs = 2.0 ** d * w[rows, k] ** expo / dist_pow[rows, k]
-        rhs = w ** expo / dist_pow
-        margins = np.min((lhs[:, None] - rhs) / np.abs(rhs), axis=1)
-
-        sum_lhs = np.sum(2.0 ** (d - 1) * G[:, None] * w ** expo / dist_pow
-                         * member, axis=1)
-        sum_rhs = np.sum(w / (2.0 * dist_pow), axis=1)
-        sum_margins = (sum_lhs - sum_rhs) / np.abs(sum_rhs)
-
+        _, margins, sum_margins = _dominance_margins(pos, w, radii, G, x,
+                                                     member, d)
         bad = (margins < -1e-12) | (sum_margins < -1e-12)
         failures += int(np.sum(bad))
         worst = min(worst, float(np.min(margins)), float(np.min(sum_margins)))

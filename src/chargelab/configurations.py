@@ -29,6 +29,7 @@ __all__ = [
     "weighted_arc_config",
     "fibonacci_sphere_config",
     "random_config",
+    "cluster_poles",
     "merge_coincident",
     "merge_configs",
     "config_to_json_dict",
@@ -42,6 +43,11 @@ BOUNDARY_SNAP = 1e-12
 
 # Two poles closer than this are considered coincident and merged.
 COINCIDENT_TOL = 1e-13
+
+
+def _on_sphere(norms):
+    """The one boundary rule: | |x| - 1 | <= BOUNDARY_SNAP."""
+    return np.abs(np.asarray(norms) - 1.0) <= BOUNDARY_SNAP
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +97,7 @@ class ChargeConfiguration:
         if np.any(norms > 1.0 + BOUNDARY_SNAP):
             worst = float(norms.max())
             raise ValueError(f"position outside the closed unit ball (|x| = {worst!r})")
-        on_boundary = np.abs(norms - 1.0) <= BOUNDARY_SNAP
+        on_boundary = _on_sphere(norms)
         # snap: make boundary positions exactly unit norm
         if np.any(on_boundary):
             positions[on_boundary] /= norms[on_boundary, None]
@@ -257,36 +263,48 @@ def random_config(n: int, d: int, seed: int, interior: bool = False) -> ChargeCo
     return ChargeConfiguration(pos, np.ones(n))
 
 
+def cluster_poles(positions, weights, tol: float):
+    """Single-linkage clusters of poles: the one rule that decides merging.
+
+    Two poles share a cluster when a chain of gaps, each below `tol`, links
+    them, so the partition does not depend on the input order. Returns
+    (first, summed): each cluster's first-occurrence index, ascending, and
+    its summed weight.
+    """
+    positions = np.asarray(positions, dtype=float)
+    diff = positions[:, None, :] - positions[None, :, :]
+    linked = np.sqrt(np.sum(diff * diff, axis=2)) < tol
+    labels = np.arange(positions.shape[0])
+    while True:
+        # every pole takes the smallest label among its links; the fixed
+        # point labels each cluster with its first index
+        spread = np.min(np.where(linked, labels[None, :], labels.size), axis=1)
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    first = np.flatnonzero(labels == np.arange(labels.size))
+    summed = np.bincount(labels, weights=np.asarray(weights, dtype=float))
+    return first, summed[first]
+
+
 def merge_coincident(config: ChargeConfiguration, tol: float = COINCIDENT_TOL) -> ChargeConfiguration:
     """Merge poles closer than `tol` by summing their weights.
 
-    Keeps first-occurrence order. If a merged weight cancels to zero the pair
-    is dropped; an all-cancelling configuration is rejected.
+    Poles merge by single linkage (`cluster_poles`): a chain of gaps below
+    `tol` joins them, whatever the input order. Each merged pole sits at
+    its cluster's first occurrence, in first-occurrence order. A cluster
+    whose weight cancels to zero is dropped; an all-cancelling
+    configuration is rejected. The optimizer merges colliding poles with
+    the same routine at its own collision gap.
     """
-    n = config.n_charges
-    if n == 1:
+    first, summed = cluster_poles(config.positions, config.weights, tol)
+    if first.size == config.n_charges:
         return config
-    pos = config.positions
-    used = np.zeros(n, dtype=bool)
-    new_pos, new_w = [], []
-    for i in range(n):
-        if used[i]:
-            continue
-        group = [i]
-        used[i] = True
-        for j in range(i + 1, n):
-            if not used[j] and np.linalg.norm(pos[j] - pos[i]) < tol:
-                group.append(j)
-                used[j] = True
-        w = float(config.weights[list(group)].sum())
-        if w != 0.0:
-            new_pos.append(pos[i])
-            new_w.append(w)
-    if not new_pos:
+    keep = summed != 0.0
+    if not np.any(keep):
         raise ValueError("all weights cancelled under coincident-pole merging")
-    if len(new_pos) == n:
-        return config
-    return ChargeConfiguration(np.array(new_pos), np.array(new_w), config.dimension)
+    return ChargeConfiguration(config.positions[first[keep]], summed[keep],
+                               config.dimension)
 
 
 def merge_configs(a: ChargeConfiguration, b: ChargeConfiguration) -> ChargeConfiguration:

@@ -20,7 +20,8 @@ import math
 import numpy as np
 from scipy import optimize as sp_optimize
 
-from .configurations import ChargeConfiguration, weighted_arc_config, fibonacci_sphere_config
+from .configurations import (ChargeConfiguration, cluster_poles,
+                             fibonacci_sphere_config, weighted_arc_config)
 from .quadrature import QuadratureSpec, chui_energy
 from .rng import substream
 
@@ -34,7 +35,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# poles this close (angle / chord) are treated as collided and merged
+# poles closer than this chord are treated as collided and merged; on the
+# circle the chord 2 sin(gap/2) equals the angle gap to 4e-14 relative here
 _COLLISION_GAP = 1e-6
 
 _METHODS = ("auto", "nelder-mead-angles", "projected-pattern-search")
@@ -136,27 +138,6 @@ def _angles_to_config(angles, weights) -> ChargeConfiguration:
     return ChargeConfiguration(pos, weights)
 
 
-def _merge_close_angles(angles, weights):
-    """Sum weights of poles within _COLLISION_GAP on the circle, or None."""
-    order = np.argsort(angles)
-    groups = []
-    for idx in order:
-        if groups and (angles[idx] - angles[groups[-1][0]]) < _COLLISION_GAP:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    # circular wrap: first and last group may also collide
-    if len(groups) > 1:
-        gap = angles[groups[0][0]] + TWO_PI - angles[groups[-1][-1]]
-        if gap < _COLLISION_GAP:
-            groups[0] = groups.pop() + groups[0]
-    if len(groups) == len(angles):
-        return None
-    new_angles = np.array([angles[g[0]] for g in groups])
-    new_weights = np.array([weights[g].sum() for g in groups])
-    return new_angles, new_weights
-
-
 def _nm_stage(run, angles, weights):
     """One Nelder-Mead descent over angles[1:], first angle pinned."""
     n = len(angles)
@@ -197,12 +178,12 @@ def _minimize_2d(weights, seed, budget, spec) -> OptimizationTrace:
             run.energy(_angles_to_config(angles, w))
             run.mark_start()
             angles = _nm_stage(run, angles, w)
-            merged = _merge_close_angles(angles, w)
-            if merged is not None:
-                new_angles, new_w = merged
-                run.energy(_angles_to_config(new_angles, new_w))
+            first, merged_w = cluster_poles(
+                _angles_to_config(angles, w).positions, w, _COLLISION_GAP)
+            if first.size < len(w):
+                run.energy(_angles_to_config(angles[first], merged_w))
                 run.mark_merge()
-                starts.insert(0, (new_angles, new_w, "restart"))
+                starts.insert(0, (angles[first], merged_w, "restart"))
                 continue
             # queue a fresh random start while budget comfortably remains
             min_stage = max(60, 25 * (len(weights) - 1))
@@ -246,27 +227,6 @@ def _unpack_sphere(v, n, base, azim1):
     flip = polar > math.pi
     polar[flip] = TWO_PI - polar[flip]
     return _sph_to_xyz(polar, azim)
-
-
-def _merge_close_points(positions, weights):
-    n = len(positions)
-    used = np.zeros(n, dtype=bool)
-    groups = []
-    for i in range(n):
-        if used[i]:
-            continue
-        g = [i]
-        used[i] = True
-        for j in range(i + 1, n):
-            if not used[j] and np.linalg.norm(positions[j] - positions[i]) < _COLLISION_GAP:
-                g.append(j)
-                used[j] = True
-        groups.append(g)
-    if len(groups) == n:
-        return None
-    pos = np.array([positions[g[0]] for g in groups])
-    w = np.array([weights[g].sum() for g in groups])
-    return pos, w
 
 
 def _pattern_stage(run, positions, weights):
@@ -314,12 +274,11 @@ def _minimize_3d(weights, seed, budget, spec) -> OptimizationTrace:
             run.energy(ChargeConfiguration(pos, w))
             run.mark_start()
             pos = _pattern_stage(run, pos, w)
-            merged = _merge_close_points(pos, w)
-            if merged is not None:
-                new_pos, new_w = merged
-                run.energy(ChargeConfiguration(new_pos, new_w))
+            first, merged_w = cluster_poles(pos, w, _COLLISION_GAP)
+            if first.size < len(w):
+                run.energy(ChargeConfiguration(pos[first], merged_w))
                 run.mark_merge()
-                starts.insert(0, (new_pos, new_w, "restart"))
+                starts.insert(0, (pos[first], merged_w, "restart"))
                 continue
             min_stage = max(80, 30 * (2 * n - 3 if n > 1 else 1))
             if round_idx < n_restarts and run.budget - run.evals >= min_stage:

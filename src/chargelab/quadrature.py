@@ -27,7 +27,8 @@ import numpy as np
 from scipy.stats import qmc
 
 from ._cubature import Region, integrate_1d, integrate_regions
-from .configurations import ChargeConfiguration, merge_coincident
+from .configurations import (BOUNDARY_SNAP, ChargeConfiguration, _on_sphere,
+                             merge_coincident)
 from .fields import _cauchy_abs_batch, _field_mag_batch, averaged_kernel_batch
 from .rng import derive_key, substream
 
@@ -44,10 +45,6 @@ TWO_PI = 2.0 * math.pi
 
 # cap on zone radii when the caller does not override pole_radius
 DEFAULT_POLE_RADIUS = 0.1
-
-# |pole| above this is treated as exactly on the sphere (constructors snap
-# boundary charges to unit norm, so the gap to genuine interior points is wide)
-_BOUNDARY_EPS = 1e-10
 
 _METHODS = ("auto", "adaptive", "rqmc", "mc")
 
@@ -147,12 +144,12 @@ def _effective_radii(points, cap):
 # d = 2: deterministic zones + angular-band bulk
 # ---------------------------------------------------------------------------
 
-def _zone_region_2d(pole: complex, rho: float, g) -> Region:
+def _zone_region_2d(pole: complex, on_sphere: bool, rho: float, g) -> Region:
     """Polar patch around one pole; the s Jacobian cancels the 1/s kernel."""
     t = abs(pole)
     phi = math.atan2(pole.imag, pole.real)
 
-    if t >= 1.0 - _BOUNDARY_EPS:
+    if on_sphere:
         # on-sphere pole: only the inward half-plane meets the disc, and the
         # chord exit along direction beta (from the inward normal) is 2 cos b
         def fn(x):
@@ -293,10 +290,12 @@ def _bulk_regions_2d(params, extra_cuts, g):
     return regions
 
 
-def _integrate_disc(g, poles, radii, extra_cuts, rel_tol, max_evals, abs_floor):
+def _integrate_disc(g, poles, on_sphere, radii, extra_cuts, rel_tol,
+                    max_evals, abs_floor):
     params = [(abs(p), math.atan2(p.imag, p.real), float(r))
               for p, r in zip(poles, radii)]
-    regions = [_zone_region_2d(p, float(r), g) for p, r in zip(poles, radii)]
+    regions = [_zone_region_2d(p, b, float(r), g)
+               for p, b, r in zip(poles, on_sphere, radii)]
     regions += _bulk_regions_2d(params, extra_cuts, g)
     return integrate_regions(regions, rel_tol, max_evals, abs_floor=abs_floor)
 
@@ -309,8 +308,8 @@ def _energy_adaptive_2d(config, spec):
     def g(z):
         return _cauchy_abs_batch(poles, weights, z)
 
-    res = _integrate_disc(g, poles, radii, (), spec.rel_tolerance,
-                          spec.max_evals, abs_floor=1e-14)
+    res = _integrate_disc(g, poles, config.boundary, radii, (),
+                          spec.rel_tolerance, spec.max_evals, abs_floor=1e-14)
     return QuadratureResult(float(res.value), float(res.error), res.evals,
                             res.converged, "adaptive")
 
@@ -374,7 +373,7 @@ def _surrogate_mass(t, support):
     return float(res.value), res.evals
 
 
-def _zone_region_3d(pole, rho, h) -> Region:
+def _zone_region_3d(pole, on_sphere: bool, rho, h) -> Region:
     """Pole-centered spherical patch; h must stay bounded at the pole."""
     t = float(np.sqrt(np.dot(pole, pole)))
     if t > 1e-14:
@@ -383,7 +382,7 @@ def _zone_region_3d(pole, rho, h) -> Region:
         axis = np.array([0.0, 0.0, 1.0])
     e1, e2 = _orthonormal_frame(axis)
 
-    if t >= 1.0 - _BOUNDARY_EPS:
+    if on_sphere:
         # mu measured from the inward normal; chord exit is 2 mu
         def fn(x):
             mu = x[:, 0]
@@ -485,7 +484,8 @@ def _energy_rqmc_3d(config, spec):
         return (_field_mag_batch(positions, weights, pts, 3)
                 - _surrogate_sum(positions, weights, supports, pts))
 
-    zone_regions = [_zone_region_3d(positions[k], float(radii[k]), residual)
+    zone_regions = [_zone_region_3d(positions[k], config.boundary[k],
+                                    float(radii[k]), residual)
                     for k in range(len(weights))]
     # zone integrals are small residual corrections; an absolute floor tied
     # to the surrogate mass keeps the refinement from chasing zero
@@ -641,7 +641,8 @@ def l1_defect(z0: complex, arc, spec: QuadratureSpec | None = None) -> Quadratur
     rho = min(spec.radius_cap(), max(endpoint_gap, 1e-6))
     extra = [a, b]
     floor = max(1e-14, 0.05 * spec.rel_tolerance * length)
-    res = _integrate_disc(g, np.array([z0]), np.array([rho]), extra,
+    poles = np.array([z0])
+    res = _integrate_disc(g, poles, _on_sphere(np.abs(poles)), [rho], extra,
                           spec.rel_tolerance, spec.max_evals, abs_floor=floor)
     return QuadratureResult(float(res.value), float(res.error), res.evals,
                             res.converged, "adaptive")
@@ -659,7 +660,7 @@ def two_pole_l1(a: complex, b: complex,
     spec = spec or QuadratureSpec()
     a = complex(a)
     b = complex(b)
-    if abs(a) > 1.0 + 1e-12 or abs(b) > 1.0 + 1e-12:
+    if abs(a) > 1.0 + BOUNDARY_SNAP or abs(b) > 1.0 + BOUNDARY_SNAP:
         raise ValueError("poles must lie in the closed unit disc")
     delta = abs(a - b)
     if delta == 0.0:
@@ -675,7 +676,7 @@ def two_pole_l1(a: complex, b: complex,
 
     radii = np.minimum(spec.radius_cap(), 0.5 * delta) * np.ones(2)
     floor = max(1e-14, 0.05 * spec.rel_tolerance * delta)
-    res = _integrate_disc(g, poles, radii, (), spec.rel_tolerance,
-                          spec.max_evals, abs_floor=floor)
+    res = _integrate_disc(g, poles, _on_sphere(np.abs(poles)), radii, (),
+                          spec.rel_tolerance, spec.max_evals, abs_floor=floor)
     return QuadratureResult(float(res.value), float(res.error), res.evals,
                             res.converged, "adaptive")

@@ -1,14 +1,18 @@
+import itertools
 import json
 import math
 
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from chargelab import (ChargeConfiguration, config_from_json_dict,
                        config_to_json_dict, fibonacci_sphere_config,
                        load_config, merge_coincident, merge_configs,
                        random_config, save_config, uniform_circle_config,
                        weighted_arc_config)
+from chargelab.configurations import COINCIDENT_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,6 +184,17 @@ class TestMerging:
         cfg = uniform_circle_config(4)
         assert merge_coincident(cfg) is cfg
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_chain_merges_in_any_order(self, order):
+        # A-B and B-C are 0.6 tol apart, A-C 1.2 tol: single linkage joins
+        # all three whichever pole comes first
+        step = 0.6 * COINCIDENT_TOL * np.array([0.6, 0.0, 0.8])
+        chain = np.array([0.2, 0.3, 0.1]) + np.arange(3)[:, None] * step
+        merged = merge_coincident(ChargeConfiguration(chain[list(order)],
+                                                      np.ones(3)))
+        assert merged.n_charges == 1
+        assert merged.weights[0] == 3.0
+
     def test_merge_configs_dimension_mismatch(self):
         with pytest.raises(ValueError):
             merge_configs(uniform_circle_config(2), fibonacci_sphere_config(2))
@@ -187,6 +202,77 @@ class TestMerging:
     def test_merge_configs_concatenates(self):
         m = merge_configs(uniform_circle_config(2), uniform_circle_config(3))
         assert m.n_charges == 5
+
+
+_PROPERTY_TOL = 0.05
+
+
+@st.composite
+def _clouds(draw):
+    """Small signed-weight clouds with near-duplicates, and a permutation.
+
+    Near-duplicates copy an earlier point (possibly another near-duplicate,
+    which builds chains) at an offset up to about the tolerance.
+    """
+    d = draw(st.sampled_from([2, 3, 4]))
+    coord = st.floats(-0.45, 0.45)
+    pts = [draw(st.lists(coord, min_size=d, max_size=d))
+           for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 4))):
+        src = pts[draw(st.integers(0, len(pts) - 1))]
+        offset = draw(st.lists(st.floats(-0.03, 0.03), min_size=d, max_size=d))
+        pts.append([a + b for a, b in zip(src, offset)])
+    # half-integer weights keep every partial sum exact
+    halves = st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0])
+    weights = [draw(halves) for _ in pts]
+    order = draw(st.permutations(range(len(pts))))
+    return np.array(pts), np.array(weights), np.array(order)
+
+
+def _components(positions):
+    """Reference clustering: components of the below-tolerance graph."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    linked = np.sqrt(np.sum(diff * diff, axis=2)) < _PROPERTY_TOL
+    return connected_components(linked, directed=False)[1]
+
+
+def _signature(positions, weights, ids):
+    """merge_coincident output as sorted (member ids, weight) pairs."""
+    label = _components(positions)
+    merged = merge_coincident(ChargeConfiguration(positions, weights),
+                              _PROPERTY_TOL)
+    out = []
+    for p, w in zip(merged.positions, merged.weights):
+        i = np.flatnonzero(np.all(positions == p, axis=1))[0]
+        out.append((tuple(sorted(ids[label == label[i]])), float(w)))
+    return sorted(out), merged.positions
+
+
+class TestMergingProperties:
+    @given(_clouds())
+    def test_matches_reference_in_any_order(self, cloud):
+        pos, w, order = cloud
+        label = _components(pos)
+        expected = sorted(
+            (tuple(np.flatnonzero(label == c)), float(np.sum(w[label == c])))
+            for c in np.unique(label) if np.sum(w[label == c]) != 0.0)
+        for ids in (np.arange(len(w)), order):
+            if not expected:
+                with pytest.raises(ValueError):
+                    _signature(pos[ids], w[ids], ids)
+            else:
+                assert _signature(pos[ids], w[ids], ids)[0] == expected
+
+    @given(_clouds())
+    def test_outputs_separated_and_weight_kept(self, cloud):
+        pos, w, _ = cloud
+        if np.all(np.bincount(_components(pos), weights=w) == 0.0):
+            return
+        sig, out = _signature(pos, w, np.arange(len(w)))
+        gaps = np.sqrt(np.sum((out[:, None] - out[None]) ** 2, axis=2))
+        np.fill_diagonal(gaps, np.inf)
+        assert np.all(gaps >= _PROPERTY_TOL)
+        assert sum(weight for _, weight in sig) == float(np.sum(w))
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,7 +8,8 @@ import pytest
 from chargelab import (ChargeConfiguration, QuadratureSpec,
                        local_min_certificate, minimize_positions,
                        uniform_circle_config)
-from chargelab.optimize import _merge_close_angles, _merge_close_points
+from chargelab.configurations import cluster_poles
+from chargelab.optimize import _COLLISION_GAP, _angles_to_config
 
 from _oracles import FROZEN_UNIFORM_ENERGY, grid_min_gap_energy
 
@@ -124,34 +126,48 @@ class TestTraceFile:
         assert len(pts) == 2 and len(pts[0]) == 3
 
 
+def _merge_angles(angles, weights):
+    """The 2-D optimizer's collision merge: clusters of its circle points."""
+    first, merged = cluster_poles(_angles_to_config(angles, weights).positions,
+                                  weights, _COLLISION_GAP)
+    return angles[first], merged
+
+
 class TestPoleMerging:
     def test_close_angles_merge(self):
-        merged = _merge_close_angles(np.array([0.0, 1e-8, 1.0]),
-                                     np.array([1.0, 1.0, 1.0]))
-        assert merged is not None
-        ang, w = merged
+        ang, w = _merge_angles(np.array([0.0, 1e-8, 1.0]), np.ones(3))
         assert ang.size == 2
         assert sorted(w) == [1.0, 2.0]
 
     def test_wraparound_merge(self):
         near_pi = math.pi - 1e-9
-        merged = _merge_close_angles(np.array([-near_pi - 2e-9 + TWO_PI, near_pi]),
-                                     np.array([1.0, 2.0]))
-        # gap passes through +-pi and is far below the collision threshold
-        assert merged is not None
-        _, w = merged
-        assert w.tolist() == [3.0]
+        for angles in ([-near_pi - 2e-9 + TWO_PI, near_pi],
+                       [-near_pi, near_pi]):
+            # the second pair's gap passes through +-pi
+            _, w = _merge_angles(np.array(angles), np.array([1.0, 2.0]))
+            assert w.tolist() == [3.0]
 
     def test_distant_angles_untouched(self):
-        assert _merge_close_angles(np.array([0.0, 1.0]), np.ones(2)) is None
+        ang, w = _merge_angles(np.array([0.0, 1.0]), np.ones(2))
+        assert ang.tolist() == [0.0, 1.0] and w.tolist() == [1.0, 1.0]
 
     def test_close_points_merge(self):
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        merged = _merge_close_points(pts, np.array([1.0, 2.0, 4.0]))
-        assert merged is not None
-        p, w = merged
-        assert p.shape == (2, 3)
+        first, w = cluster_poles(pts, np.array([1.0, 2.0, 4.0]),
+                                 _COLLISION_GAP)
+        assert pts[first].shape == (2, 3)
         assert sorted(w) == [3.0, 4.0]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_chain_merges_in_any_order(self, order):
+        # neighbours 0.6 gap apart, the ends 1.2 gap: one pole of weight 3
+        steps = 0.4 + 0.6 * _COLLISION_GAP * np.array(order)
+        _, w = _merge_angles(steps, np.ones(3))
+        assert w.tolist() == [3.0]
+        sphere = np.column_stack([np.sin(steps) * 0.6, np.sin(steps) * 0.8,
+                                  np.cos(steps)])
+        first, w = cluster_poles(sphere, np.ones(3), _COLLISION_GAP)
+        assert first.tolist() == [0] and w.tolist() == [3.0]
 
 
 class TestCertificates:

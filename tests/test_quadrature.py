@@ -114,6 +114,20 @@ class TestSinglePole3d:
         assert abs(res.value - expect) <= max(4.0 * res.error, 3e-3 * expect)
 
 
+class TestNearSpherePole:
+    """1e-11 inside the sphere is interior for the bounds and the zones alike."""
+
+    @pytest.mark.parametrize("d,oracle", [(2, single_pole_energy_2d),
+                                          (3, single_pole_energy_3d)])
+    def test_interior_zone_converges(self, d, oracle):
+        t = 1.0 - 1e-11
+        cfg = _single(t, d)
+        assert not cfg.boundary[0]
+        res = chui_energy(cfg, QuadratureSpec())
+        assert res.converged
+        assert abs(res.value - oracle(t)) <= 3.0 * res.error
+
+
 class TestHigherDimension:
     def test_boundary_pole_4d(self):
         res = chui_energy(_single(1.0, 4), QuadratureSpec(rel_tolerance=5e-3,
