@@ -7,6 +7,14 @@ once, bisecting the worst cells along their worst axis until the summed
 Kronrod-vs-Gauss error estimate meets the relative tolerance or the evaluation
 budget runs out. Deterministic: cell ordering, tie-breaking and summation
 order are fixed functions of the inputs.
+
+Regions that differ only in their parameters can form a *family*: they share
+one integrand that takes, next to the points, the row of each point's region
+in a parameter table the integrand closes over. Cells are evaluated family
+by family, one integrand call per bounded chunk of cells, so a decomposition
+into hundreds of small regions costs a handful of calls rather than one call
+per region. Each cell's values do not depend on which other cells share its
+call.
 """
 
 from dataclasses import dataclass
@@ -52,6 +60,10 @@ WG_PADDED[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 _UNIT = 0.5 * (XGK + 1.0)  # nodes mapped to [0, 1]
 
+# points per integrand call (at least one cell's worth, 15^3 in 3-D); bounds
+# the working set of a family call, which may span thousands of cells
+_CALL_POINTS = 1 << 12
+
 
 @lru_cache(maxsize=8)
 def _tensor_tables(dim):
@@ -73,20 +85,26 @@ def _tensor_tables(dim):
 class Region:
     """Integrand over [0,1]^dim with optional mandatory initial cuts per axis.
 
-    `fn` maps an (m, dim) array of region coordinates to (m,) values that
-    include all Jacobian factors; it is only ever called on strictly interior
-    points of [0,1]^dim.
+    A plain region (`row=None`) has `fn` map an (m, dim) array of region
+    coordinates to (m,) values that include all Jacobian factors. A region
+    with a `row` belongs to the family of all regions sharing its `fn`, which
+    is then called as `fn(x, rows)`: `rows[i]` is the row of the region that
+    point `x[i]` belongs to in the family's parameter table. Either way `fn`
+    is only ever called on strictly interior points of [0,1]^dim.
     """
 
-    __slots__ = ("fn", "dim", "cuts")
+    __slots__ = ("fn", "dim", "cuts", "row")
 
-    def __init__(self, fn, dim, cuts=None):
+    def __init__(self, fn, dim, cuts=None, row=None):
         self.fn = fn
         self.dim = int(dim)
         self.cuts = [np.asarray(c, dtype=float) if c is not None else None
                      for c in (cuts or [None] * self.dim)]
         if len(self.cuts) != self.dim:
             raise ValueError("cuts must supply one (possibly None) array per axis")
+        if row is not None and int(row) < 0:
+            raise ValueError("a family row must be non-negative")
+        self.row = None if row is None else int(row)
 
 
 @dataclass
@@ -99,6 +117,8 @@ class CubatureResult:
 
 
 def _initial_boxes(region):
+    if all(c is None or c.size == 0 for c in region.cuts):
+        return np.zeros((1, region.dim)), np.ones((1, region.dim))
     edges = []
     for d in range(region.dim):
         cuts = region.cuts[d]
@@ -119,32 +139,35 @@ def _initial_boxes(region):
     return lo, hi
 
 
-def _evaluate(regions, rids, lo, hi):
-    """Tensor GK on each cell. Returns (values, per-axis errors, evals)."""
+def _evaluate(fns, fam, rows, rids, lo, hi):
+    """Tensor GK on each cell. Returns (values, per-axis errors, evals).
+
+    Region r is evaluated by `fns[fam[r]]`, a family integrand when
+    `rows[r] >= 0` and a plain one otherwise.
+    """
     m = rids.shape[0]
     dim = lo.shape[1]
     nodes, wmat = _tensor_tables(dim)
     p = nodes.shape[0]
     vals = np.zeros(m, dtype=complex)
     errd = np.zeros((m, dim))
-    evals = 0
-    chunk = max(1, (1 << 18) // p)
-    order = np.argsort(rids, kind="stable")
-    # group cells by region for vectorized evaluation
-    pos = 0
-    while pos < order.size:
-        rid = rids[order[pos]]
-        end = pos
-        while end < order.size and rids[order[end]] == rid:
-            end += 1
-        sel = order[pos:end]
-        region = regions[rid]
+    chunk = max(1, _CALL_POINTS // p)
+    cell_fam = fam[rids]
+    order = np.argsort(cell_fam, kind="stable")
+    starts = np.flatnonzero(np.diff(cell_fam[order])) + 1
+    for sel in np.split(order, starts):
+        fn = fns[cell_fam[sel[0]]]
         for c0 in range(0, sel.size, chunk):
             cells = sel[c0:c0 + chunk]
             span = hi[cells] - lo[cells]
             pts = lo[cells][:, None, :] + span[:, None, :] * nodes[None, :, :]
-            raw = np.asarray(region.fn(pts.reshape(-1, dim)))
-            v = raw.reshape(cells.size, p)
+            x = pts.reshape(-1, dim)
+            cell_rows = rows[rids[cells]]
+            if cell_rows[0] < 0:
+                raw = fn(x)
+            else:
+                raw = fn(x, np.repeat(cell_rows, p))
+            v = np.asarray(raw).reshape(cells.size, p)
             scale = np.prod(span * 0.5, axis=1)
             # row 0 -> Kronrod value, row 1+d -> Gauss along axis d.
             # Contract with a broadcast sum rather than matmul: BLAS reduction
@@ -152,9 +175,7 @@ def _evaluate(regions, rids, lo, hi):
             cont = np.sum(v[:, None, :] * wmat[None, :, :], axis=2)
             vals[cells] = cont[:, 0] * scale
             errd[cells] = np.abs(cont[:, 1:] - cont[:, [0]]) * scale[:, None]
-            evals += cells.size * p
-        pos = end
-    return vals, errd, evals
+    return vals, errd, m * p
 
 
 def integrate_regions(regions, rel_tol, max_evals, abs_floor=1e-14, max_rounds=200):
@@ -170,6 +191,13 @@ def integrate_regions(regions, rel_tol, max_evals, abs_floor=1e-14, max_rounds=2
     if any(r.dim != dim for r in regions):
         raise ValueError("all regions in one call must share a dimension")
 
+    # one integrand call group per family; plain regions that share an
+    # integrand share its calls too, which changes no value
+    groups = {}
+    fam = np.array([groups.setdefault((r.fn, r.row is None), len(groups))
+                    for r in regions])
+    fns = [fn for fn, _ in groups]
+    rows = np.array([-1 if r.row is None else r.row for r in regions])
     rid_list, lo_list, hi_list = [], [], []
     for rid, region in enumerate(regions):
         lo, hi = _initial_boxes(region)
@@ -188,7 +216,7 @@ def integrate_regions(regions, rel_tol, max_evals, abs_floor=1e-14, max_rounds=2
             f"max_evals={max_evals} cannot cover the initial decomposition "
             f"({rids.size} cells x {p} nodes); raise max_evals"
         )
-    vals, errd, evals = _evaluate(regions, rids, lo, hi)
+    vals, errd, evals = _evaluate(fns, fam, rows, rids, lo, hi)
     errs = errd.sum(axis=1)
 
     converged = False
@@ -220,7 +248,8 @@ def integrate_regions(regions, rel_tol, max_evals, abs_floor=1e-14, max_rounds=2
         child_birth = np.arange(next_birth, next_birth + 2 * n_split, dtype=np.int64)
         next_birth += 2 * n_split
 
-        cvals, cerrd, ev = _evaluate(regions, child_r, child_lo, child_hi)
+        cvals, cerrd, ev = _evaluate(fns, fam, rows, child_r, child_lo,
+                                     child_hi)
         evals += ev
         keep = np.ones(rids.size, dtype=bool)
         keep[pick] = False

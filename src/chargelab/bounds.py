@@ -329,13 +329,17 @@ def interior_pole_bound(config: ChargeConfiguration):
 
 @dataclass(frozen=True)
 class ReductionBudget:
-    """Upper budget (A/2pi) * sum l_k * defect(l_k) with propagated error."""
+    """Upper budget (A/2pi) * sum l_k * defect(l_k) with propagated error.
+
+    `converged` is False when any defect integral missed its tolerance.
+    """
 
     value: float
     error: float
     evals: int
     lengths: np.ndarray
     defects: np.ndarray
+    converged: bool
 
 
 def reduction_budget(config: ChargeConfiguration, partition: ArcPartition,
@@ -375,8 +379,10 @@ def reduction_budget(config: ChargeConfiguration, partition: ArcPartition,
     scale = stats.A / TWO_PI
     value = scale * float(np.sum(lengths * defects))
     error = scale * float(np.sum(lengths * errors))
+    converged = all(res.converged for res in cache.values())
     return ReductionBudget(value=value, error=error, evals=evals,
-                           lengths=lengths.copy(), defects=defects)
+                           lengths=lengths.copy(), defects=defects,
+                           converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +409,12 @@ class BoundReport:
     upper_budget_error: float | None
     interior_bound: float | None
     verdicts: dict
+    upper_budget_converged: bool = True
+
+    @property
+    def converged(self) -> bool:
+        """True when the energy and every defect integral met tolerance."""
+        return self.energy.converged and self.upper_budget_converged
 
     def to_json_dict(self) -> dict:
         out = {
@@ -452,12 +464,16 @@ def make_bound_report(config: ChargeConfiguration,
 
     upper_budget = None
     upper_budget_error = None
+    budget_converged = True
     if partition is not None:
         budget = reduction_budget(config, partition, spec)
         upper_budget = budget.value
         upper_budget_error = budget.error
-        verdicts["upper_budget"] = _verdict(
-            upper_budget - energy.value, energy.error + budget.error)
+        budget_converged = budget.converged
+        # an unconverged defect's error figure does not bound its error
+        verdicts["upper_budget"] = (_verdict(upper_budget - energy.value,
+                                             energy.error + budget.error)
+                                    if budget.converged else "inconclusive")
 
     interior = None
     if config.dimension == 2:
@@ -470,7 +486,8 @@ def make_bound_report(config: ChargeConfiguration,
                        lower_weighted=lower_weighted,
                        upper_budget=upper_budget,
                        upper_budget_error=upper_budget_error,
-                       interior_bound=interior, verdicts=verdicts)
+                       interior_bound=interior, verdicts=verdicts,
+                       upper_budget_converged=budget_converged)
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def _cmd_bounds(args) -> int:
                   [tuple(rd.get(c) for c in _BOUNDS_COLUMNS)], args.out)
     else:
         _emit_json(doc, args.out)
-    if not report.energy.converged:
+    if not report.converged:
         return EXIT_NONCONVERGED
     if any(v == "violated" for v in report.verdicts.values()):
         return EXIT_VIOLATION
@@ -414,7 +414,7 @@ def _cmd_verify_all(args) -> int:
         report = make_bound_report(cfg, spec, partition=part)
         rd = report.to_json_dict()
         reports[row["file"]] = rd
-        nonconverged = nonconverged or not report.energy.converged
+        nonconverged = nonconverged or not report.converged
         bad = sorted(k for k, v in report.verdicts.items() if v == "violated")
         all_ok &= _check(checks, f"bounds:{row['file']}", not bad,
                          {"violated": bad, "energy": rd["energy"]})

@@ -141,9 +141,12 @@ def _cauchy_abs_batch(poles, weights, z):
     out = np.empty(z.shape, dtype=float)
     step = max(1, _CHUNK_PAIRS // max(len(poles), 1))
     for i in range(0, z.size, step):
-        zz = z[i:i + step]
-        out[i:i + step] = np.abs(
-            np.sum(weights[:, None] / (poles[:, None] - zz[None, :]), axis=0))
+        # one (poles x points) buffer, divided in place: a second one of the
+        # same size makes the allocator hand both back to the OS on every
+        # call, and the next call page-faults them in again
+        terms = np.subtract(poles[:, None], z[None, i:i + step])
+        np.divide(weights[:, None], terms, out=terms)
+        out[i:i + step] = np.abs(np.sum(terms, axis=0))
     return out
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._cubature import Region, integrate_1d, integrate_regions
 from .configurations import (BOUNDARY_SNAP, ChargeConfiguration, _on_sphere,
@@ -144,56 +143,62 @@ def _effective_radii(points, cap):
 # d = 2: deterministic zones + angular-band bulk
 # ---------------------------------------------------------------------------
 
-def _zone_region_2d(pole: complex, on_sphere: bool, rho: float, g) -> Region:
-    """Polar patch around one pole; the s Jacobian cancels the 1/s kernel."""
-    t = abs(pole)
-    phi = math.atan2(pole.imag, pole.real)
+def _zone_regions_2d(poles, on_sphere, t, phi, rho, g):
+    """Polar patch around each pole; the s Jacobian cancels the 1/s kernel.
 
-    if on_sphere:
-        # on-sphere pole: only the inward half-plane meets the disc, and the
-        # chord exit along direction beta (from the inward normal) is 2 cos b
-        def fn(x):
-            beta = -0.5 * math.pi + math.pi * x[:, 0]
-            cap = np.minimum(rho, 2.0 * np.cos(beta))
-            s = cap * x[:, 1]
-            psi = phi + math.pi + beta
-            z = pole + s * np.exp(1j * psi)
-            return g(z) * s * cap * math.pi
+    Interior zones form one family and on-sphere zones another, each with the
+    pole index as its row into (poles, t, phi, rho); a zone centred at the
+    origin is a plain region.
+    """
 
-        cuts = None
-        if rho < 2.0:
-            bstar = math.acos(rho / 2.0)
-            cuts = [np.array([(-bstar + 0.5 * math.pi) / math.pi,
-                              (bstar + 0.5 * math.pi) / math.pi]), None]
-        return Region(fn, 2, cuts)
-
-    if t <= 1e-14:
-        radius = min(rho, 1.0)
-
-        def fn(x):
-            psi = -math.pi + TWO_PI * x[:, 0]
-            s = radius * x[:, 1]
-            z = s * np.exp(1j * psi)
-            return g(z) * s * radius * TWO_PI
-
-        return Region(fn, 2)
-
-    def fn(x):
+    def interior(x, k):
         gamma = -math.pi + TWO_PI * x[:, 0]
-        exit_s = -t * np.cos(gamma) + np.sqrt(
-            np.maximum(1.0 - (t * np.sin(gamma)) ** 2, 0.0))
-        cap = np.minimum(rho, exit_s)
+        exit_s = -t[k] * np.cos(gamma) + np.sqrt(
+            np.maximum(1.0 - (t[k] * np.sin(gamma)) ** 2, 0.0))
+        cap = np.minimum(rho[k], exit_s)
         s = cap * x[:, 1]
-        z = pole + s * np.exp(1j * (phi + gamma))
+        z = poles[k] + s * np.exp(1j * (phi[k] + gamma))
         return g(z) * s * cap * TWO_PI
 
-    cuts = None
-    cross = (1.0 - t * t - rho * rho) / (2.0 * rho * t)
-    if -1.0 < cross < 1.0:
-        gstar = math.acos(cross)
-        cuts = [np.array([(-gstar + math.pi) / TWO_PI,
-                          (gstar + math.pi) / TWO_PI]), None]
-    return Region(fn, 2, cuts)
+    def rim(x, k):
+        # on-sphere pole: only the inward half-plane meets the disc, and the
+        # chord exit along direction beta (from the inward normal) is 2 cos b
+        beta = -0.5 * math.pi + math.pi * x[:, 0]
+        cap = np.minimum(rho[k], 2.0 * np.cos(beta))
+        s = cap * x[:, 1]
+        psi = phi[k] + math.pi + beta
+        z = poles[k] + s * np.exp(1j * psi)
+        return g(z) * s * cap * math.pi
+
+    regions = []
+    for k in range(len(poles)):
+        tk, rk = t[k], rho[k]
+        if on_sphere[k]:
+            cuts = None
+            if rk < 2.0:
+                bstar = math.acos(rk / 2.0)
+                cuts = [np.array([(-bstar + 0.5 * math.pi) / math.pi,
+                                  (bstar + 0.5 * math.pi) / math.pi]), None]
+            regions.append(Region(rim, 2, cuts, row=k))
+        elif tk <= 1e-14:
+            radius = min(rk, 1.0)
+
+            def origin(x, radius=radius):
+                psi = -math.pi + TWO_PI * x[:, 0]
+                s = radius * x[:, 1]
+                z = s * np.exp(1j * psi)
+                return g(z) * s * radius * TWO_PI
+
+            regions.append(Region(origin, 2))
+        else:
+            cuts = None
+            cross = (1.0 - tk * tk - rk * rk) / (2.0 * rk * tk)
+            if -1.0 < cross < 1.0:
+                gstar = math.acos(cross)
+                cuts = [np.array([(-gstar + math.pi) / TWO_PI,
+                                  (gstar + math.pi) / TWO_PI]), None]
+            regions.append(Region(interior, 2, cuts, row=k))
+    return regions
 
 
 def _bulk_cut_angles(params, extra):
@@ -231,72 +236,70 @@ def _interval_bounds(theta, t, phi, rho):
     return lo, np.maximum(hi, lo)
 
 
-def _bulk_regions_2d(params, extra_cuts, g):
+def _bulk_regions_2d(t, phi, rho, extra_cuts, g):
     """Disc-minus-zones as angular bands sliced radially between zones.
 
     Band boundaries include every tangency and rim-crossing angle of every
     zone, so within one band the set of zones met by a ray, and the radial
     ordering of their intervals, are constant; each gap between consecutive
-    intervals becomes one smooth mapped region.
+    intervals becomes one smooth mapped region. All of them form one family,
+    whose row is the piece index into (band start, band span, zone below,
+    zone above), with -1 standing for the origin below or the rim above.
     """
-    angles = _bulk_cut_angles(params, extra_cuts)
-    bands = []
-    for i, a in enumerate(angles):
-        b = angles[i + 1] if i + 1 < len(angles) else angles[0] + TWO_PI
-        if b - a > 1e-12:
-            bands.append((a, b))
-    if not bands:
-        bands = [(-math.pi, math.pi)]
+    angles = np.array(_bulk_cut_angles(zip(t, phi, rho), extra_cuts))
+    ends = np.append(angles[1:], angles[0] + TWO_PI)
+    keep = ends - angles > 1e-12
+    band_lo = angles[keep]
+    band_span = ends[keep] - band_lo
 
-    regions = []
-    for theta_lo, theta_hi in bands:
-        span = theta_hi - theta_lo
-        tm = np.array([theta_lo + 0.5 * span])
-        active = []
-        for (t, phi, rho) in params:
-            lo, hi = _interval_bounds(tm, t, phi, rho)
-            if hi[0] - lo[0] > 1e-15:
-                active.append(((t, phi, rho), lo[0]))
-        active.sort(key=lambda item: item[1])
-        zones = [item[0] for item in active]
+    # zone intervals on each band's mid ray, (bands x poles)
+    mid_lo, mid_hi = _interval_bounds((band_lo + 0.5 * band_span)[:, None],
+                                      t, phi, rho)
+    met = mid_hi - mid_lo > 1e-15
+    # zones met by each band, in radial order (ties keep pole order)
+    order = np.argsort(np.where(met, mid_lo, np.inf), axis=1, kind="stable")
+    n_met = np.sum(met, axis=1)
+    n_gap = n_met + 1
+    band = np.repeat(np.arange(band_lo.size), n_gap)
+    j = np.arange(band.size) - np.repeat(np.cumsum(n_gap) - n_gap, n_gap)
+    last = order.shape[1] - 1
+    below = np.where(j > 0, order[band, j - 1], -1)
+    above = np.where(j < n_met[band], order[band, np.minimum(j, last)], -1)
+    # pieces empty at the band midpoint are empty across the band:
+    # interval endpoints move continuously and can only cross at the
+    # tangency/crossing angles, which are all band boundaries
+    lo_m = np.where(below >= 0, mid_hi[band, below], 0.0)
+    hi_m = np.where(above >= 0, mid_lo[band, above], 1.0)
+    piece = hi_m - lo_m > 1e-15
+    start = band_lo[band[piece]]
+    span = band_span[band[piece]]
+    below = below[piece]
+    above = above[piece]
 
-        for j in range(len(zones) + 1):
-            below = zones[j - 1] if j > 0 else None
-            above = zones[j] if j < len(zones) else None
+    def fn(x, k):
+        theta = start[k] + span[k] * x[:, 0]
+        zb, za = below[k], above[k]
+        a = np.where(zb >= 0,
+                     _interval_bounds(theta, t[zb], phi[zb], rho[zb])[1], 0.0)
+        b = np.where(za >= 0,
+                     _interval_bounds(theta, t[za], phi[za], rho[za])[0], 1.0)
+        width = np.maximum(b - a, 0.0)
+        s = a + width * x[:, 1]
+        z = s * np.exp(1j * theta)
+        return g(z) * s * width * span[k]
 
-            def fn(x, below=below, above=above, theta_lo=theta_lo, span=span):
-                theta = theta_lo + span * x[:, 0]
-                if below is None:
-                    a = np.zeros_like(theta)
-                else:
-                    a = _interval_bounds(theta, *below)[1]
-                if above is None:
-                    b = np.ones_like(theta)
-                else:
-                    b = _interval_bounds(theta, *above)[0]
-                width = np.maximum(b - a, 0.0)
-                s = a + width * x[:, 1]
-                z = s * np.exp(1j * theta)
-                return g(z) * s * width * span
-
-            # pieces empty at the band midpoint are empty across the band:
-            # interval endpoints move continuously and can only cross at the
-            # tangency/crossing angles, which are all band boundaries
-            lo_m = 0.0 if below is None else _interval_bounds(tm, *below)[1][0]
-            hi_m = 1.0 if above is None else _interval_bounds(tm, *above)[0][0]
-            if hi_m - lo_m <= 1e-15:
-                continue
-            regions.append(Region(fn, 2))
-    return regions
+    return [Region(fn, 2, row=k) for k in range(start.size)]
 
 
 def _integrate_disc(g, poles, on_sphere, radii, extra_cuts, rel_tol,
                     max_evals, abs_floor):
-    params = [(abs(p), math.atan2(p.imag, p.real), float(r))
-              for p, r in zip(poles, radii)]
-    regions = [_zone_region_2d(p, b, float(r), g)
-               for p, b, r in zip(poles, on_sphere, radii)]
-    regions += _bulk_regions_2d(params, extra_cuts, g)
+    # scalar math.atan2, not np.arctan2: the two can differ in the last bit,
+    # and every cut angle and zone parameter derives from phi
+    t = np.array([abs(p) for p in poles])
+    phi = np.array([math.atan2(p.imag, p.real) for p in poles])
+    rho = np.asarray(radii, dtype=float)
+    regions = _zone_regions_2d(poles, on_sphere, t, phi, rho, g)
+    regions += _bulk_regions_2d(t, phi, rho, extra_cuts, g)
     return integrate_regions(regions, rel_tol, max_evals, abs_floor=abs_floor)
 
 
@@ -428,6 +431,9 @@ def _rqmc_bulk(h_masked, spec, budget, target_fn):
     target_fn maps the current bulk estimate to the absolute sigma target;
     returns (estimate, sigma, evals, converged).
     """
+    # scipy.stats costs about a second to import; only this path needs it
+    from scipy.stats import qmc
+
     n_rep = 8
     volume = unit_ball_volume(3)
     engines = [

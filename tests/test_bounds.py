@@ -261,7 +261,19 @@ class TestReductionBudget:
         spec = QuadratureSpec(rel_tolerance=1e-3)
         budget = reduction_budget(cfg, part, spec)
         energy = chui_energy(cfg, spec)
+        assert budget.converged
         assert energy.value <= budget.value + 3.0 * (energy.error + budget.error)
+
+    def test_unconverged_defect_reaches_verdict(self):
+        # at 1e4 evals the energy converges (4050 evals) but the defect of
+        # the short arc (about 14.6k evals at this tolerance) cannot
+        cfg, part = weighted_arc_config([1.0, 100.0])
+        spec = QuadratureSpec(max_evals=10_000)
+        assert not reduction_budget(cfg, part, spec).converged
+        report = make_bound_report(cfg, spec, partition=part)
+        assert report.energy.converged
+        assert not report.converged
+        assert report.verdicts["upper_budget"] == "inconclusive"
 
     def test_length_cache(self):
         from chargelab import l1_defect

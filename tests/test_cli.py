@@ -142,6 +142,14 @@ class TestBoundsCommand:
         assert rep["verdicts"]["upper_budget"] == "holds"
         assert rep["verdicts"]["lower_theorem11"] == "holds"
 
+    def test_unconverged_budget_exits_3(self, capsys):
+        # the energy converges; the short arc's defect does not
+        code, out, _ = _run(capsys, "bounds", "--weights", "1,100",
+                            "--max-evals", "10000")
+        assert code == 3
+        rep = json.loads(out)["report"]
+        assert rep["verdicts"]["upper_budget"] == "inconclusive"
+
     def test_uniform_csv_columns(self, capsys):
         code, out, _ = _run(capsys, "bounds", "--uniform", "2",
                             "--format", "csv")

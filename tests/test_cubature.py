@@ -95,3 +95,94 @@ class TestRegions:
         exact = (math.e - 1.0) * math.sin(3.0) / 3.0
         assert res.converged
         assert abs(res.value - exact) <= max(3.0 * res.error, 1e-13)
+
+
+class TestFamilies:
+    """Regions sharing one row-indexed integrand versus plain regions."""
+
+    @staticmethod
+    def _table(n, seed=3):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(1e-3, 1e-1, n), rng.uniform(0.1, 0.9, n),
+                rng.uniform(0.1, 0.9, n), rng.uniform(0.2, 0.8, n))
+
+    @staticmethod
+    def _peak(x, eps, cx, cy):
+        return 1.0 / (eps + (x[:, 0] - cx) ** 2 + (x[:, 1] - cy) ** 2)
+
+    def _regions(self, table, family, calls=None):
+        eps, cx, cy, cut = table
+        calls = [] if calls is None else calls
+        regions = []
+        for k in range(eps.size):
+            cuts = [np.array([cut[k]]), None] if k % 3 == 0 else None
+            if family is None:
+                def fn(x, k=k):
+                    calls.append(x.shape[0])
+                    return self._peak(x, eps[k], cx[k], cy[k])
+                regions.append(Region(fn, 2, cuts))
+            else:
+                regions.append(Region(family, 2, cuts, row=k))
+        return regions
+
+    def _family(self, table, calls):
+        eps, cx, cy, _ = table
+
+        def fn(x, rows):
+            calls.append(rows.size)
+            return self._peak(x, eps[rows], cx[rows], cy[rows])
+
+        return fn
+
+    @staticmethod
+    def _same(a, b):
+        assert (a.value, a.error, a.evals, a.n_cells, a.converged) == (
+            b.value, b.error, b.evals, b.n_cells, b.converged)
+
+    def test_family_is_bit_identical_to_plain_regions(self):
+        table = self._table(40)
+        calls, plain_calls = [], []
+        family = integrate_regions(
+            self._regions(table, self._family(table, calls)), 1e-8, 2_000_000)
+        plain = integrate_regions(self._regions(table, None, plain_calls),
+                                  1e-8, 2_000_000)
+        self._same(family, plain)
+        # the 54 initial cells need more than one bounded call; after that
+        # each round makes one call per chunk, not one per region
+        assert calls[0] < 54 * 225
+        assert len(calls) < len(plain_calls) / 4
+
+    def test_each_point_gets_its_own_row(self):
+        n = 50
+        cut = np.linspace(0.2, 0.8, n)
+
+        def fn(x, rows):
+            # one row per cell: rows are constant over each cell's nodes
+            per_cell = rows.reshape(-1, 225)
+            assert np.all(per_cell == per_cell[:, :1])
+            return (rows + 1.0) * np.ones(x.shape[0])
+
+        regions = [Region(fn, 2, [np.array([cut[k]]), None], row=k)
+                   for k in range(n)]
+        res = integrate_regions(regions, 1e-12, 1_000_000)
+        # region k integrates the constant k + 1 over the unit square
+        assert res.value == pytest.approx(n * (n + 1) / 2, rel=1e-12)
+
+    def test_families_and_plain_regions_mixed(self):
+        a, b = self._table(12, seed=4), self._table(9, seed=5)
+        calls_a, calls_b = [], []
+        fam_a = self._regions(a, self._family(a, calls_a))
+        fam_b = self._regions(b, self._family(b, calls_b))
+        plain_a, plain_b = self._regions(a, None), self._regions(b, None)
+        odd = Region(lambda x: np.exp(x[:, 0] - x[:, 1]), 2)
+        mixed = fam_a[:6] + plain_b[:4] + [odd] + fam_b[4:] + plain_a[6:]
+        mixed += fam_b[:4] + fam_a[6:]
+        reference = plain_a[:6] + plain_b[:4] + [odd] + plain_b[4:]
+        reference += plain_a[6:] + plain_b[:4] + plain_a[6:]
+        self._same(integrate_regions(mixed, 1e-8, 2_000_000),
+                   integrate_regions(reference, 1e-8, 2_000_000))
+        assert calls_a and calls_b
+
+    def test_negative_row_rejected(self):
+        with pytest.raises(ValueError):
+            Region(lambda x, rows: x[:, 0], 1, row=-1)

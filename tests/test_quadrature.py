@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chargelab
 from chargelab import (ChargeConfiguration, QuadratureSpec, chui_energy,
                        l1_defect, merge_configs, random_config, two_pole_l1,
                        uniform_circle_config, unit_ball_volume)
@@ -266,3 +270,57 @@ class TestTwoPoleCancellation:
         big = two_pole_l1(1.0, complex(math.cos(0.5), math.sin(0.5)), spec)
         small = two_pole_l1(1.0, complex(math.cos(0.1), math.sin(0.1)), spec)
         assert small.value < big.value
+
+
+class TestDecompositionPins:
+    """Exact eval counts of the planar decomposition, so any change to its
+    pieces, their order or their initial cuts fails here first."""
+
+    CASES = {
+        "uniform_64": (lambda: chui_energy(uniform_circle_config(64),
+                                           QuadratureSpec(rel_tolerance=1e-4)),
+                       391500, uniform_energy(64)),
+        "boundary_single": (lambda: chui_energy(
+            ChargeConfiguration([[0.0, 1.0]], [1.0]),
+            QuadratureSpec(rel_tolerance=1e-4)), 4275,
+            single_pole_energy_2d(1.0)),
+        # the references below are the pinned decomposition's own values
+        "random_interior_16": (lambda: chui_energy(
+            random_config(16, 2, seed=7, interior=True)), 29475,
+            41.692036267387465),
+        "defect_0.1": (lambda: l1_defect(1.0, (-0.05, 0.05)), 12375,
+                       0.14813440220664695),
+        "two_pole": (lambda: two_pole_l1(0.5, 0.5 + 0.3j), 3600,
+                     4.586880172713139),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_evals_pinned(self, case):
+        run, evals, reference = self.CASES[case]
+        res = run()
+        assert res.converged
+        assert res.evals == evals
+        assert abs(res.value - reference) <= res.error
+
+
+def test_import_defers_scipy_stats():
+    # scipy.stats (about a second to import) is only needed by the d=3 RQMC
+    # bulk, so importing chargelab must not load it
+    src = os.path.dirname(os.path.dirname(chargelab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import chargelab\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+        "cfg = chargelab.ChargeConfiguration([[0.0, 0.0, 0.5]], [1.0])\n"
+        "res = chargelab.chui_energy(cfg)\n"
+        "assert res.method == 'rqmc' and res.converged\n"
+        "print(repr(res.value), repr(res.error))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    value, error = map(float, proc.stdout.split())
+    assert abs(value - single_pole_energy_3d(0.5)) <= 3.0 * error + 1e-3 * value
