@@ -15,6 +15,9 @@ For d = 2 the field vector is the complex conjugate of the discrete Cauchy
 transform C(z) = sum_k a_k / (z_k - z), so |field| == |C| pointwise; the test
 suite checks the identity to 1e-12.
 
+The batch kernels behind the quadratures evaluate many points per call; for
+d >= 3 they work component-major, as described above `_offsets`.
+
 All evaluators are pure functions; nothing here carries mutable state.
 """
 
@@ -127,8 +130,19 @@ def potential_at(config: ChargeConfiguration, x) -> float:
 # batch magnitude kernels (quadrature internals)
 # ---------------------------------------------------------------------------
 
-# pole-times-point pairs per chunk; bounds peak memory at a few tens of MB
+# pole-times-point pairs per chunk of the planar kernel: its one complex
+# (poles x points) buffer stays within 32 MB however many points a call has
 _CHUNK_PAIRS = 1 << 21
+# the d >= 3 kernels hold about ten (poles x points) float arrays per chunk;
+# at 2^15 pairs (256 KB each) they stay in a core's L2 cache, and a call on
+# 10^5 points or more ran 1.5-2x faster than in chunks of _CHUNK_PAIRS
+_CACHE_PAIRS = 1 << 15
+
+
+def _chunks(m, n, pairs):
+    """Slices of at most pairs // n points covering range(m)."""
+    step = max(1, pairs // max(n, 1))
+    return [slice(i, i + step) for i in range(0, m, step)]
 
 
 def _cauchy_abs_batch(poles, weights, z):
@@ -139,29 +153,70 @@ def _cauchy_abs_batch(poles, weights, z):
     """
     z = np.asarray(z)
     out = np.empty(z.shape, dtype=float)
-    step = max(1, _CHUNK_PAIRS // max(len(poles), 1))
-    for i in range(0, z.size, step):
+    for sl in _chunks(z.size, len(poles), _CHUNK_PAIRS):
         # one (poles x points) buffer, divided in place: a second one of the
         # same size makes the allocator hand both back to the OS on every
         # call, and the next call page-faults them in again
-        terms = np.subtract(poles[:, None], z[None, i:i + step])
+        terms = np.subtract(poles[:, None], z[None, sl])
         np.divide(weights[:, None], terms, out=terms)
-        out[i:i + step] = np.abs(np.sum(terms, axis=0))
+        out[sl] = np.abs(np.sum(terms, axis=0))
     return out
+
+
+# The d >= 3 kernels work component-major: for a chunk of points x_j they
+# build diff[c, k, j] = x_k[c] - x_j[c], one (poles x points) array per
+# component, and r2[k, j] = |x_k - x_j|^2 once, accumulated component by
+# component. Every consumer of r2 (the field below, the d = 3 surrogate and
+# zone mask in quadrature.py) reads the same array, and each reduction runs
+# over poles (or components) in index order, so a point's value depends
+# neither on the chunking nor on how many points share its call.
+
+def _offsets(positions, pts):
+    """Component-major pole offsets (d, poles, points) and their r^2."""
+    d, n, m = pts.shape[1], positions.shape[0], pts.shape[0]
+    # contiguous rows of the point coordinates: broadcasting against the
+    # strided columns of pts runs at less than half the speed
+    cols = np.ascontiguousarray(pts.T)
+    diff = np.empty((d, n, m))
+    for c in range(d):
+        np.subtract(positions[:, c, None], cols[c], out=diff[c])
+    r2 = diff[0] * diff[0]
+    sq = np.empty_like(r2)
+    for c in range(1, d):
+        r2 += np.multiply(diff[c], diff[c], out=sq)
+    return diff, r2
+
+
+def _pole_sum(terms):
+    """Sum a (poles x points) array over poles, in pole order.
+
+    np.sum(axis=0) adds in this order too, except on a single-point chunk,
+    where numpy switches to pairwise summation over the poles.
+    """
+    out = terms[0].copy()
+    for row in terms[1:]:
+        out += row
+    return out
+
+
+def _field_mag(diff, r2, weights, d):
+    """|sum_k w_k diff_k / r_k^d| per point; scales diff in place."""
+    scale = r2 ** (-0.5 * d)
+    scale *= weights[:, None]
+    mag2 = 0.0
+    for comp in diff:
+        comp *= scale
+        v = _pole_sum(comp)
+        mag2 += v * v
+    return np.sqrt(mag2, out=mag2)
 
 
 def _field_mag_batch(positions, weights, pts, d):
     """|sum_k w_k (x_k - x)/|x_k - x|^d| for pts of shape (m, d), chunked."""
-    m = pts.shape[0]
-    n = positions.shape[0]
-    out = np.empty(m)
-    step = max(1, _CHUNK_PAIRS // max(n, 1))
-    for i in range(0, m, step):
-        diff = positions[None, :, :] - pts[i:i + step, None, :]
-        r2 = np.sum(diff * diff, axis=2)
-        scale = weights[None, :] * r2 ** (-0.5 * d)
-        vec = np.sum(scale[:, :, None] * diff, axis=1)
-        out[i:i + step] = np.sqrt(np.sum(vec * vec, axis=1))
+    out = np.empty(pts.shape[0])
+    for sl in _chunks(pts.shape[0], positions.shape[0], _CACHE_PAIRS):
+        diff, r2 = _offsets(positions, pts[sl])
+        out[sl] = _field_mag(diff, r2, weights, d)
     return out
 
 

@@ -12,6 +12,13 @@ at the charge locations. The strategy is the same in all dimensions:
     and plain importance-sampled Monte Carlo for d >= 4 (accuracy degraded
     and flagged).
 
+For d = 3 the residual (field magnitude minus the singular surrogate) is one
+kernel, `_residual_3d`. It works on chunks of points in the component-major
+layout of fields.py: per chunk it builds the (poles x points) offsets, forms
+r^2 once, and reads that one array for the field sum, the surrogate's cutoff
+and the zone mask. Chunks hold at most 2^15 pole-point pairs, so their
+arrays stay in a core's cache.
+
 Determinism contract: identical inputs (including the seed) give
 bit-identical results regardless of machine load or thread count. All
 reductions are fixed-order numpy pairwise sums; stochastic paths draw from
@@ -28,7 +35,9 @@ import numpy as np
 from ._cubature import Region, integrate_1d, integrate_regions
 from .configurations import (BOUNDARY_SNAP, ChargeConfiguration, _on_sphere,
                              merge_coincident)
-from .fields import _cauchy_abs_batch, _field_mag_batch, averaged_kernel_batch
+from .fields import (_CACHE_PAIRS, _cauchy_abs_batch, _chunks, _field_mag,
+                     _field_mag_batch, _offsets, _pole_sum,
+                     averaged_kernel_batch)
 from .rng import derive_key, substream
 
 __all__ = [
@@ -333,26 +342,51 @@ def _orthonormal_frame(axis):
 
 
 def _cutoff(r, support):
-    """C^1 taper: 1 on [0, R/2], cubic smoothstep down to 0 at R."""
-    w = np.ones_like(r)
-    ramp = r > 0.5 * support
-    xi = (r[ramp] - 0.5 * support) / (0.5 * support)
-    w[ramp] = 1.0 - xi * xi * (3.0 - 2.0 * xi)
-    w[r >= support] = 0.0
-    return w
+    """C^1 taper: 1 on [0, R/2], cubic smoothstep down to 0 at R.
+
+    support may be an array broadcasting against r, one radius per pole.
+    The ramp variable is clipped to [0, 1], which gives exactly 1 up to R/2
+    and exactly 0 wherever r >= R (for r < R it is below 1 unclipped), so no
+    separate support test is needed.
+    """
+    half = 0.5 * support
+    xi = r - half
+    xi /= half
+    np.clip(xi, 0.0, 1.0, out=xi)
+    ramp = 2.0 * xi
+    np.subtract(3.0, ramp, out=ramp)
+    xi *= xi
+    xi *= ramp
+    return np.subtract(1.0, xi, out=xi)
 
 
-def _surrogate_sum(positions, weights, supports, pts):
-    """sum_k w_k c(|x-x_k|)/|x-x_k|^2, matching each pole's leading blow-up."""
-    total = np.zeros(pts.shape[0])
-    for k in range(positions.shape[0]):
-        diff = pts - positions[k]
-        r = np.sqrt(np.sum(diff * diff, axis=1))
-        near = r < supports[k]
-        if np.any(near):
-            rn = r[near]
-            total[near] += weights[k] * _cutoff(rn, supports[k]) / (rn * rn)
-    return total
+def _residual_3d(positions, weights, supports, pts, radii=None):
+    """Field magnitude minus the surrogate sum_k |w_k| c(|x-x_k|)/|x-x_k|^2.
+
+    The surrogate matches each pole's leading blow-up |w_k|/r^2, whatever the
+    sign of w_k, so the residual stays bounded. One pass per chunk of points:
+    the component-major offsets and r^2 (see fields.py) feed the field sum,
+    the surrogate's cutoff and, when radii is given, the zone mask, which
+    gives 0 at every point inside some pole's zone (the zone cubature covers
+    those). The zone cubature calls this unmasked, the RQMC bulk masked.
+    Masked points at a pole give inf or nan before masking, so the floating
+    point warnings are silenced.
+    """
+    out = np.empty(pts.shape[0])
+    for sl in _chunks(pts.shape[0], positions.shape[0], _CACHE_PAIRS):
+        diff, r2 = _offsets(positions, pts[sl])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = np.sqrt(r2)
+            cut = _cutoff(r, supports[:, None])
+            cut *= np.abs(weights)[:, None]
+            r *= r
+            cut /= r
+            res = _field_mag(diff, r2, weights, 3)
+            res -= _pole_sum(cut)
+        if radii is not None:
+            res[np.any(r2 < (radii * radii)[:, None], axis=0)] = 0.0
+        out[sl] = res
+    return out
 
 
 def _inside_solid_angle(t, r):
@@ -453,10 +487,11 @@ def _rqmc_bulk(h_masked, spec, budget, target_fn):
             mu = 2.0 * u[:, 1] - 1.0
             beta = TWO_PI * u[:, 2]
             sl = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-            pts = np.stack([radius * sl * np.cos(beta),
-                            radius * sl * np.sin(beta),
-                            radius * mu], axis=1)
-            sums[rep] += np.sum(h_masked(pts))
+            # built component-major, as the residual kernel reads it
+            cols = np.stack([radius * sl * np.cos(beta),
+                             radius * sl * np.sin(beta),
+                             radius * mu])
+            sums[rep] += np.sum(h_masked(cols.T))
         count += draw
         evals += n_rep * draw
         means = volume * sums / count
@@ -483,12 +518,11 @@ def _energy_rqmc_3d(config, spec):
     for k in range(len(weights)):
         t = float(np.sqrt(np.dot(positions[k], positions[k])))
         m, ev = _surrogate_mass(t, float(supports[k]))
-        mass_total += float(weights[k]) * m
+        mass_total += abs(float(weights[k])) * m
         mass_evals += ev
 
     def residual(pts):
-        return (_field_mag_batch(positions, weights, pts, 3)
-                - _surrogate_sum(positions, weights, supports, pts))
+        return _residual_3d(positions, weights, supports, pts)
 
     zone_regions = [_zone_region_3d(positions[k], config.boundary[k],
                                     float(radii[k]), residual)
@@ -502,14 +536,7 @@ def _energy_rqmc_3d(config, spec):
     zone_val = float(zres.value)
 
     def masked(pts):
-        keep = np.ones(pts.shape[0], dtype=bool)
-        for k in range(len(weights)):
-            diff = pts - positions[k]
-            keep &= np.sum(diff * diff, axis=1) >= radii[k] * radii[k]
-        out = np.zeros(pts.shape[0])
-        if np.any(keep):
-            out[keep] = residual(pts[keep])
-        return out
+        return _residual_3d(positions, weights, supports, pts, radii)
 
     def target(bulk_est):
         total = zone_val + mass_total + bulk_est

@@ -2,14 +2,19 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import chargelab
 from chargelab import (ChargeConfiguration, QuadratureSpec, chui_energy,
-                       l1_defect, merge_configs, random_config, two_pole_l1,
-                       uniform_circle_config, unit_ball_volume)
+                       fibonacci_sphere_config, l1_defect, merge_configs,
+                       random_config, two_pole_l1, uniform_circle_config,
+                       unit_ball_volume)
+from chargelab.quadrature import (DEFAULT_POLE_RADIUS, _cutoff,
+                                  _nearest_neighbor_dists, _residual_3d)
 
 from _oracles import (FROZEN_SINGLE_2D, FROZEN_SINGLE_3D,
                       FROZEN_SINGLE_4D_BOUNDARY, FROZEN_UNIFORM_ENERGY,
@@ -302,6 +307,238 @@ class TestDecompositionPins:
         assert res.evals == evals
         assert abs(res.value - reference) <= res.error
 
+
+# the d = 3 residual as it was computed before the component-major kernel:
+# (points x poles x 3) offsets for the field, one pass per pole for the
+# surrogate, and the zone mask applied by copying the kept points. The
+# surrogate term carries |w_k|, the current rule; the old code had w_k,
+# which is the same for every positive weight
+def _old_field(positions, weights, pts, d):
+    diff = positions[None, :, :] - pts[:, None, :]
+    r2 = np.sum(diff * diff, axis=2)
+    scale = weights[None, :] * r2 ** (-0.5 * d)
+    vec = np.sum(scale[:, :, None] * diff, axis=1)
+    return np.sqrt(np.sum(vec * vec, axis=1))
+
+
+def _old_cutoff(r, support):
+    w = np.ones_like(r)
+    ramp = r > 0.5 * support
+    xi = (r[ramp] - 0.5 * support) / (0.5 * support)
+    w[ramp] = 1.0 - xi * xi * (3.0 - 2.0 * xi)
+    w[r >= support] = 0.0
+    return w
+
+
+def _old_residual(positions, weights, supports, pts):
+    total = np.zeros(pts.shape[0])
+    for k in range(positions.shape[0]):
+        diff = pts - positions[k]
+        r = np.sqrt(np.sum(diff * diff, axis=1))
+        near = r < supports[k]
+        if np.any(near):
+            rn = r[near]
+            total[near] += (abs(weights[k]) * _old_cutoff(rn, supports[k])
+                            / (rn * rn))
+    return _old_field(positions, weights, pts, 3) - total
+
+
+def _old_masked(positions, weights, supports, radii, pts):
+    keep = np.ones(pts.shape[0], dtype=bool)
+    for k in range(positions.shape[0]):
+        diff = pts - positions[k]
+        keep &= np.sum(diff * diff, axis=1) >= radii[k] * radii[k]
+    out = np.zeros(pts.shape[0])
+    if np.any(keep):
+        out[keep] = _old_residual(positions, weights, supports, pts[keep])
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestResidualKernel:
+    """The component-major d = 3 residual against the old formula, bit for
+    bit, on points chosen to sit on every boundary the kernel tests."""
+
+    @staticmethod
+    def _zones(positions):
+        nn = _nearest_neighbor_dists(positions)
+        return np.minimum(0.5, nn), np.minimum(DEFAULT_POLE_RADIUS, 0.5 * nn)
+
+    @staticmethod
+    def _probes(positions, supports, radii, gen):
+        """Random ball points and, per pole, offsets along the axes by 0, the
+        zone radius, half the support and the support (exact for the dyadic
+        pair), each also scaled by 1 -+ 1e-15."""
+        pts = [gen.standard_normal((5000, 3))]
+        pts[0] *= (gen.random(5000) ** (1 / 3)
+                   / np.linalg.norm(pts[0], axis=1))[:, None]
+        eye = np.vstack([np.eye(3), -np.eye(3)])
+        for p, s, rho in zip(positions, supports, radii):
+            for r in (0.0, 1e-9, rho, 0.5 * s, s):
+                for f in (1.0, 1.0 - 1e-15, 1.0 + 1e-15):
+                    pts.append(p + r * f * eye)
+        pts = np.vstack(pts)
+        return pts[np.sum(pts * pts, axis=1) <= 1.0]
+
+    @staticmethod
+    def _signed(pos):
+        gen = np.random.default_rng(5)
+        return pos, gen.uniform(0.2, 3.0, len(pos)) * gen.choice([-1.0, 1.0],
+                                                               len(pos))
+
+    CONFIGS = {
+        "origin_single": lambda: ([[0.0, 0.0, 0.0]], [1.0]),
+        "sphere_single": lambda: ([[0.0, 0.0, 1.0]], [2.5]),
+        "dyadic_pair_signed": lambda: ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.75]],
+                                       [1.0, -0.5]),
+        "fibonacci_9_signed": lambda: TestResidualKernel._signed(
+            fibonacci_sphere_config(9).positions),
+        "interior_6_signed": lambda: TestResidualKernel._signed(np.vstack(
+            [random_config(5, 3, seed=9, interior=True).positions,
+             np.zeros((1, 3))])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_bitwise_against_old_formula(self, name):
+        pos, w = map(np.asarray, self.CONFIGS[name]())
+        supports, radii = self._zones(pos)
+        pts = self._probes(pos, supports, radii, np.random.default_rng(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masked = _residual_3d(pos, w, supports, pts, radii)
+            single = np.concatenate([
+                _residual_3d(pos, w, supports, pts[j:j + 1], radii)
+                for j in range(0, len(pts), 97)])
+        expect = _old_masked(pos, w, supports, radii, pts)
+        assert np.array_equal(_bits(masked), _bits(expect))
+        assert np.array_equal(_bits(single), _bits(expect[::97]))
+        # unmasked, off the poles themselves (the zone cubature never
+        # evaluates there)
+        off = np.min(np.sum((pts[:, None] - pos[None]) ** 2, axis=2), axis=1) > 0
+        plain = _residual_3d(pos, w, supports, pts[off])
+        old = _old_residual(pos, w, supports, pts[off])
+        assert np.all(np.isfinite(plain))
+        assert np.array_equal(_bits(plain), _bits(old))
+
+    def test_cutoff_against_old_form(self):
+        support = 0.37
+        r = np.concatenate([[0.0, 0.5 * support, support, 2.0 * support],
+                            np.nextafter(support, [0.0, 1.0]),
+                            np.nextafter(0.5 * support, [0.0, 1.0]),
+                            np.linspace(0.0, 1.0, 1001)])
+        assert np.array_equal(_bits(_cutoff(r, support)),
+                              _bits(_old_cutoff(r, support)))
+
+
+# the tolerance per dimension keeps one energy call near 0.1 s; d >= 4 is
+# plain Monte Carlo and converges slowest
+_PROPERTY_TOL = {2: 1e-3, 3: 3e-3, 4: 2e-2}
+
+
+@st.composite
+def _signed_systems(draw):
+    """1-3 poles in B^d (d = 2, 3, 4) at least 0.2 apart, on the sphere or
+    inside it, with weights of either sign and magnitude in [0.25, 4]."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 3))
+    cfg = random_config(n, d, seed=draw(st.integers(0, 2**16)),
+                        interior=draw(st.booleans()))
+    pos = cfg.positions
+    gaps = np.sqrt(np.sum((pos[:, None] - pos[None]) ** 2, axis=2))
+    assume(np.all(gaps[np.triu_indices(n, 1)] > 0.2))
+    mags = draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    spec = QuadratureSpec(rel_tolerance=_PROPERTY_TOL[d],
+                          seed=draw(st.integers(0, 1000)))
+    return ChargeConfiguration(pos, np.array(mags) * np.array(signs)), spec
+
+
+def _agree(a, b, scale_b=1.0):
+    """a and scale_b * b agree within three times their summed errors."""
+    assert a.converged and b.converged
+    err = a.error + abs(scale_b) * b.error
+    assert abs(a.value - abs(scale_b) * b.value) <= 3.0 * err
+
+
+class TestEnergyProperties:
+    """Symmetries of the energy over random signed systems in d = 2, 3, 4."""
+
+    @settings(max_examples=25)
+    @given(_signed_systems(), st.integers(0, 2**16))
+    def test_rotation_invariance(self, system, rot_seed):
+        cfg, spec = system
+        d = cfg.dimension
+        q, r = np.linalg.qr(np.random.default_rng(rot_seed).standard_normal((d, d)))
+        rot = q * np.sign(np.diag(r))
+        turned = ChargeConfiguration(cfg.positions @ rot.T, cfg.weights)
+        _agree(chui_energy(turned, spec), chui_energy(cfg, spec))
+
+    @settings(max_examples=25)
+    @given(_signed_systems(),
+           st.floats(0.3, 3.0), st.sampled_from([-1.0, 1.0]))
+    def test_weight_homogeneity(self, system, lam, sign):
+        # |field| is even in the weights, so E(lam a) = |lam| E(a)
+        cfg, spec = system
+        lam *= sign
+        scaled = ChargeConfiguration(cfg.positions, lam * cfg.weights)
+        _agree(chui_energy(scaled, spec), chui_energy(cfg, spec), lam)
+
+    @settings(max_examples=25)
+    @given(_signed_systems(), st.data())
+    def test_merging_coincident_poles(self, system, data):
+        # split one pole into two at (nearly) the same point, weights summing
+        # to the original, and append the copy anywhere in the list
+        cfg, spec = system
+        n = len(cfg.weights)
+        k = data.draw(st.integers(0, n - 1))
+        # the two parts may have opposite signs
+        part = data.draw(st.floats(0.1, 0.9) | st.floats(-1.0, -0.1)
+                         | st.floats(1.1, 2.0))
+        at = data.draw(st.integers(0, n))
+        pos = np.insert(cfg.positions, at, cfg.positions[k] * (1.0 - 1e-15),
+                        axis=0)
+        w = np.insert(cfg.weights, at, part * cfg.weights[k])
+        w[k + (at <= k)] *= 1.0 - part
+        _agree(chui_energy(ChargeConfiguration(pos, w), spec),
+               chui_energy(cfg, spec))
+
+
+class TestStochasticPins:
+    """Exact results of the d = 3 RQMC and d = 4 Monte Carlo paths at fixed
+    spec seeds: any change to their arithmetic, however small, fails here.
+
+    Recorded with numpy 2.4.6 on x86-64. The values run through numpy's
+    pow, sin and cos loops, whose last bits may differ on another numpy
+    build; there, re-record the pins from an unchanged checkout first.
+    """
+
+    CASES = {
+        "single3_0.5": (lambda: chui_energy(_single(0.5, 3),
+                                            QuadratureSpec(seed=7)),
+                        "0x1.6ed96d72ee679p+3", "0x1.f51443f983577p-10",
+                        36173, True),
+        "fibonacci_9": (lambda: chui_energy(fibonacci_sphere_config(9),
+                                            QuadratureSpec(seed=7)),
+                        "0x1.b8ef8056d8863p+4", "0x1.4c23c5c7d1117p-8",
+                        93788, True),
+        "interior3_4": (lambda: chui_energy(
+            random_config(4, 3, seed=13, interior=True),
+            QuadratureSpec(seed=7)),
+            "0x1.8648d47e39fbep+4", "0x1.39c5313516ca8p-8", 56963, True),
+        "boundary4": (lambda: chui_energy(
+            _single(1.0, 4), QuadratureSpec(rel_tolerance=3e-3, seed=7)),
+            "0x1.0d5d769b4b930p+3", "0x1.5ab5f8523662cp-6", 196608, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bits_pinned(self, case):
+        run, value, error, evals, converged = self.CASES[case]
+        res = run()
+        assert (res.value.hex(), res.error.hex(), res.evals,
+                res.converged) == (value, error, evals, converged)
 
 def test_import_defers_scipy_stats():
     # scipy.stats (about a second to import) is only needed by the d=3 RQMC
