@@ -1,20 +1,20 @@
 """Adaptive tensor-product Gauss-Kronrod cubature over mapped unit boxes.
 
-Internal engine. A `Region` wraps a vectorized integrand over [0,1]^D whose
-values already include the geometric Jacobian of whatever map produced it;
-`integrate_regions` then runs one global refinement loop over every region at
-once, bisecting the worst cells along their worst axis until the summed
-Kronrod-vs-Gauss error estimate meets the relative tolerance or the evaluation
-budget runs out. Deterministic: cell ordering, tie-breaking and summation
-order are fixed functions of the inputs.
+Internal engine. A `Region` is one row of a *family*: regions that differ
+only in their parameters share one vectorized integrand over [0,1]^D, called
+as `fn(x, rows)`, where `rows[i]` is the row of point `x[i]`'s region in a
+parameter table the integrand closes over. The values already include the
+geometric Jacobian of whatever map produced them. A region on its own is a
+one-row family (row 0). `integrate_regions` runs one global refinement loop
+over every region at once, bisecting the worst cells along their worst axis
+until the summed Kronrod-vs-Gauss error estimate meets the relative tolerance
+or the evaluation budget runs out. Deterministic: cell ordering, tie-breaking
+and summation order are fixed functions of the inputs.
 
-Regions that differ only in their parameters can form a *family*: they share
-one integrand that takes, next to the points, the row of each point's region
-in a parameter table the integrand closes over. Cells are evaluated family
-by family, one integrand call per bounded chunk of cells, so a decomposition
-into hundreds of small regions costs a handful of calls rather than one call
-per region. Each cell's values do not depend on which other cells share its
-call.
+Cells are evaluated family by family, one integrand call per bounded chunk
+of cells, so a decomposition into hundreds of small regions costs a handful
+of calls rather than one call per region. Each cell's values do not depend
+on which other cells share its call.
 """
 
 from dataclasses import dataclass
@@ -83,28 +83,26 @@ def _tensor_tables(dim):
 
 
 class Region:
-    """Integrand over [0,1]^dim with optional mandatory initial cuts per axis.
+    """Row `row` of the family of regions sharing the integrand `fn`.
 
-    A plain region (`row=None`) has `fn` map an (m, dim) array of region
-    coordinates to (m,) values that include all Jacobian factors. A region
-    with a `row` belongs to the family of all regions sharing its `fn`, which
-    is then called as `fn(x, rows)`: `rows[i]` is the row of the region that
-    point `x[i]` belongs to in the family's parameter table. Either way `fn`
-    is only ever called on strictly interior points of [0,1]^dim.
+    `fn(x, rows)` maps an (m, dim) array of region coordinates and the (m,)
+    family rows of their regions to (m,) values that include all Jacobian
+    factors. It is only ever called on strictly interior points of
+    [0,1]^dim. `cuts` gives optional mandatory initial cuts per axis.
     """
 
     __slots__ = ("fn", "dim", "cuts", "row")
 
-    def __init__(self, fn, dim, cuts=None, row=None):
+    def __init__(self, fn, dim, cuts=None, row=0):
         self.fn = fn
         self.dim = int(dim)
         self.cuts = [np.asarray(c, dtype=float) if c is not None else None
                      for c in (cuts or [None] * self.dim)]
         if len(self.cuts) != self.dim:
             raise ValueError("cuts must supply one (possibly None) array per axis")
-        if row is not None and int(row) < 0:
+        if int(row) < 0:
             raise ValueError("a family row must be non-negative")
-        self.row = None if row is None else int(row)
+        self.row = int(row)
 
 
 @dataclass
@@ -142,8 +140,7 @@ def _initial_boxes(region):
 def _evaluate(fns, fam, rows, rids, lo, hi):
     """Tensor GK on each cell. Returns (values, per-axis errors, evals).
 
-    Region r is evaluated by `fns[fam[r]]`, a family integrand when
-    `rows[r] >= 0` and a plain one otherwise.
+    Region r is row `rows[r]` of the family integrand `fns[fam[r]]`.
     """
     m = rids.shape[0]
     dim = lo.shape[1]
@@ -162,11 +159,7 @@ def _evaluate(fns, fam, rows, rids, lo, hi):
             span = hi[cells] - lo[cells]
             pts = lo[cells][:, None, :] + span[:, None, :] * nodes[None, :, :]
             x = pts.reshape(-1, dim)
-            cell_rows = rows[rids[cells]]
-            if cell_rows[0] < 0:
-                raw = fn(x)
-            else:
-                raw = fn(x, np.repeat(cell_rows, p))
+            raw = fn(x, np.repeat(rows[rids[cells]], p))
             v = np.asarray(raw).reshape(cells.size, p)
             scale = np.prod(span * 0.5, axis=1)
             # row 0 -> Kronrod value, row 1+d -> Gauss along axis d.
@@ -191,13 +184,10 @@ def integrate_regions(regions, rel_tol, max_evals, abs_floor=1e-14, max_rounds=2
     if any(r.dim != dim for r in regions):
         raise ValueError("all regions in one call must share a dimension")
 
-    # one integrand call group per family; plain regions that share an
-    # integrand share its calls too, which changes no value
     groups = {}
-    fam = np.array([groups.setdefault((r.fn, r.row is None), len(groups))
-                    for r in regions])
-    fns = [fn for fn, _ in groups]
-    rows = np.array([-1 if r.row is None else r.row for r in regions])
+    fam = np.array([groups.setdefault(r.fn, len(groups)) for r in regions])
+    fns = list(groups)
+    rows = np.array([r.row for r in regions])
     rid_list, lo_list, hi_list = [], [], []
     for rid, region in enumerate(regions):
         lo, hi = _initial_boxes(region)
@@ -275,11 +265,11 @@ def integrate_1d(fn, a, b, rel_tol, max_evals=200_000, cuts=None):
     if width <= 0:
         raise ValueError("need b > a")
 
-    def mapped(pts):
+    def mapped(pts, rows):
         return fn(a + width * pts[:, 0]) * width
 
     region_cuts = None
     if cuts is not None:
         region_cuts = [(np.asarray(cuts, dtype=float) - a) / width]
-    res = integrate_regions([Region(mapped, 1, region_cuts)], rel_tol, max_evals)
-    return res
+    return integrate_regions([Region(mapped, 1, region_cuts)], rel_tol,
+                             max_evals)

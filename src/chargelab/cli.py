@@ -272,22 +272,6 @@ def _defect_rows(levels: int, spec: QuadratureSpec):
     return rows, converged
 
 
-def _cmd_defect_sweep(args) -> int:
-    spec = _make_spec(args)
-    if args.levels < 0:
-        raise CliError("--levels must be >= 0")
-    rows, converged = _defect_rows(args.levels, spec)
-    doc = _meta("defect-sweep", args, spec)
-    doc["rows"] = rows
-    if args.format == "csv":
-        _emit_csv(doc, ("l", "defect", "defect_over_l"),
-                  [(r["l"], r["defect"], r["defect_over_l"]) for r in rows],
-                  args.out)
-    else:
-        _emit_json(doc, args.out)
-    return EXIT_OK if converged else EXIT_NONCONVERGED
-
-
 def _prop14_rows(levels: int, spec: QuadratureSpec):
     rows = []
     converged = True
@@ -301,16 +285,23 @@ def _prop14_rows(levels: int, spec: QuadratureSpec):
     return rows, converged
 
 
-def _cmd_prop14_sweep(args) -> int:
+# sweep command -> (row builder, smallest --levels, CSV columns)
+_SWEEPS = {
+    "defect-sweep": (_defect_rows, 0, ("l", "defect", "defect_over_l")),
+    "prop14-sweep": (_prop14_rows, 2, ("delta", "value", "normalized")),
+}
+
+
+def _cmd_sweep(args) -> int:
+    build_rows, floor, columns = _SWEEPS[args.command]
     spec = _make_spec(args)
-    if args.levels < 2:
-        raise CliError("--levels must be >= 2")
-    rows, converged = _prop14_rows(args.levels, spec)
-    doc = _meta("prop14-sweep", args, spec)
+    if args.levels < floor:
+        raise CliError(f"--levels must be >= {floor}")
+    rows, converged = build_rows(args.levels, spec)
+    doc = _meta(args.command, args, spec)
     doc["rows"] = rows
     if args.format == "csv":
-        _emit_csv(doc, ("delta", "value", "normalized"),
-                  [(r["delta"], r["value"], r["normalized"]) for r in rows],
+        _emit_csv(doc, columns, [tuple(r[c] for c in columns) for r in rows],
                   args.out)
     else:
         _emit_json(doc, args.out)
@@ -504,8 +495,8 @@ def _cmd_verify_all(args) -> int:
 _DISPATCH = {
     "energy": _cmd_energy,
     "bounds": _cmd_bounds,
-    "defect-sweep": _cmd_defect_sweep,
-    "prop14-sweep": _cmd_prop14_sweep,
+    "defect-sweep": _cmd_sweep,
+    "prop14-sweep": _cmd_sweep,
     "lemma-suite": _cmd_lemma_suite,
     "optimize": _cmd_optimize,
     "verify-all": _cmd_verify_all,

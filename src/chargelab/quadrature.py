@@ -19,6 +19,13 @@ r^2 once, and reads that one array for the field sum, the surrogate's cutoff
 and the zone mask. Chunks hold at most 2^15 pole-point pairs, so their
 arrays stay in a core's cache.
 
+In d = 2 and d = 3 alike the zones are two cubature region families indexed
+by pole, one for poles inside (the origin included) and one for poles on the
+sphere; the d = 2 bulk pieces are a third. The d = 3 RQMC bulk and the
+d >= 4 Monte Carlo differ only in how a replicate draws its points: both
+run `_replicated_mean`, which owns the sums, the estimate, its standard
+error and the tolerance and budget stops.
+
 Determinism contract: identical inputs (including the seed) give
 bit-identical results regardless of machine load or thread count. All
 reductions are fixed-order numpy pairwise sums; stochastic paths draw from
@@ -156,8 +163,8 @@ def _zone_regions_2d(poles, on_sphere, t, phi, rho, g):
     """Polar patch around each pole; the s Jacobian cancels the 1/s kernel.
 
     Interior zones form one family and on-sphere zones another, each with the
-    pole index as its row into (poles, t, phi, rho); a zone centred at the
-    origin is a plain region.
+    pole index as its row into (poles, t, phi, rho). A pole at the origin
+    (t <= 1e-14) is an interior zone without cuts.
     """
 
     def interior(x, k):
@@ -189,23 +196,14 @@ def _zone_regions_2d(poles, on_sphere, t, phi, rho, g):
                 cuts = [np.array([(-bstar + 0.5 * math.pi) / math.pi,
                                   (bstar + 0.5 * math.pi) / math.pi]), None]
             regions.append(Region(rim, 2, cuts, row=k))
-        elif tk <= 1e-14:
-            radius = min(rk, 1.0)
-
-            def origin(x, radius=radius):
-                psi = -math.pi + TWO_PI * x[:, 0]
-                s = radius * x[:, 1]
-                z = s * np.exp(1j * psi)
-                return g(z) * s * radius * TWO_PI
-
-            regions.append(Region(origin, 2))
         else:
             cuts = None
-            cross = (1.0 - tk * tk - rk * rk) / (2.0 * rk * tk)
-            if -1.0 < cross < 1.0:
-                gstar = math.acos(cross)
-                cuts = [np.array([(-gstar + math.pi) / TWO_PI,
-                                  (gstar + math.pi) / TWO_PI]), None]
+            if tk > 1e-14:
+                cross = (1.0 - tk * tk - rk * rk) / (2.0 * rk * tk)
+                if -1.0 < cross < 1.0:
+                    gstar = math.acos(cross)
+                    cuts = [np.array([(-gstar + math.pi) / TWO_PI,
+                                      (gstar + math.pi) / TWO_PI]), None]
             regions.append(Region(interior, 2, cuts, row=k))
     return regions
 
@@ -303,13 +301,16 @@ def _bulk_regions_2d(t, phi, rho, extra_cuts, g):
 def _integrate_disc(g, poles, on_sphere, radii, extra_cuts, rel_tol,
                     max_evals, abs_floor):
     # scalar math.atan2, not np.arctan2: the two can differ in the last bit,
-    # and every cut angle and zone parameter derives from phi
+    # and every cut angle and zone parameter derives from phi. A pole at the
+    # origin gets phi = 0 whatever the signs of its zeros
     t = np.array([abs(p) for p in poles])
-    phi = np.array([math.atan2(p.imag, p.real) for p in poles])
+    phi = np.array([math.atan2(p.imag, p.real) if p else 0.0 for p in poles])
     rho = np.asarray(radii, dtype=float)
     regions = _zone_regions_2d(poles, on_sphere, t, phi, rho, g)
     regions += _bulk_regions_2d(t, phi, rho, extra_cuts, g)
-    return integrate_regions(regions, rel_tol, max_evals, abs_floor=abs_floor)
+    res = integrate_regions(regions, rel_tol, max_evals, abs_floor=abs_floor)
+    return QuadratureResult(float(res.value), float(res.error), res.evals,
+                            res.converged, "adaptive")
 
 
 def _energy_adaptive_2d(config, spec):
@@ -320,10 +321,8 @@ def _energy_adaptive_2d(config, spec):
     def g(z):
         return _cauchy_abs_batch(poles, weights, z)
 
-    res = _integrate_disc(g, poles, config.boundary, radii, (),
-                          spec.rel_tolerance, spec.max_evals, abs_floor=1e-14)
-    return QuadratureResult(float(res.value), float(res.error), res.evals,
-                            res.converged, "adaptive")
+    return _integrate_disc(g, poles, config.boundary, radii, (),
+                           spec.rel_tolerance, spec.max_evals, abs_floor=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -410,53 +409,89 @@ def _surrogate_mass(t, support):
     return float(res.value), res.evals
 
 
-def _zone_region_3d(pole, on_sphere: bool, rho, h) -> Region:
-    """Pole-centered spherical patch; h must stay bounded at the pole."""
-    t = float(np.sqrt(np.dot(pole, pole)))
-    if t > 1e-14:
-        axis = -pole / t
-    else:
-        axis = np.array([0.0, 0.0, 1.0])
-    e1, e2 = _orthonormal_frame(axis)
+def _zone_regions_3d(positions, on_sphere, rho, h):
+    """Pole-centered spherical patch around each pole; h must stay bounded
+    at the pole.
 
-    if on_sphere:
-        # mu measured from the inward normal; chord exit is 2 mu
-        def fn(x):
-            mu = x[:, 0]
-            beta = TWO_PI * x[:, 1]
-            cap = np.minimum(rho, 2.0 * mu)
-            s = cap * x[:, 2]
-            sl = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-            dirs = (mu[:, None] * axis[None, :]
-                    + sl[:, None] * (np.cos(beta)[:, None] * e1[None, :]
-                                     + np.sin(beta)[:, None] * e2[None, :]))
-            pts = pole[None, :] + s[:, None] * dirs
-            return h(pts) * s * s * cap * TWO_PI
+    Interior zones form one family and on-sphere zones another, each with the
+    pole index as its row. Each pole has a frame (e1, e2, axis) whose axis
+    points to the origin (a fixed axis for a pole at the origin, which is an
+    interior zone without cuts); directions are (mu, beta) in that frame.
+    """
+    t = np.array([np.sqrt(np.dot(p, p)) for p in positions])
+    axes = np.array([-p / tk if tk > 1e-14 else np.array([0.0, 0.0, 1.0])
+                     for p, tk in zip(positions, t)])
+    e1, e2 = np.array([_orthonormal_frame(a) for a in axes]).swapaxes(0, 1)
 
-        cuts = None
-        if rho / 2.0 < 1.0:
-            cuts = [np.array([rho / 2.0]), None, None]
-        return Region(fn, 3, cuts)
-
-    def fn(x):
-        mu = -1.0 + 2.0 * x[:, 0]
+    def patch(x, k, mu, cap):
+        # h at distance s = cap x2 from pole k along (mu, beta = 2 pi x1),
+        # times s^2 cap 2 pi: the volume Jacobian when mu spans a unit range
         beta = TWO_PI * x[:, 1]
-        exit_s = t * mu + np.sqrt(np.maximum(1.0 - t * t * (1.0 - mu * mu), 0.0))
-        cap = np.minimum(rho, exit_s)
         s = cap * x[:, 2]
         sl = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-        dirs = (mu[:, None] * axis[None, :]
-                + sl[:, None] * (np.cos(beta)[:, None] * e1[None, :]
-                                 + np.sin(beta)[:, None] * e2[None, :]))
-        pts = pole[None, :] + s[:, None] * dirs
-        return h(pts) * s * s * cap * TWO_PI * 2.0
+        dirs = (mu[:, None] * axes[k]
+                + sl[:, None] * (np.cos(beta)[:, None] * e1[k]
+                                 + np.sin(beta)[:, None] * e2[k]))
+        pts = positions[k] + s[:, None] * dirs
+        return h(pts) * s * s * cap * TWO_PI
 
-    cuts = None
-    if t > 1e-14:
-        mstar = (rho * rho + t * t - 1.0) / (2.0 * rho * t)
-        if -1.0 < mstar < 1.0:
-            cuts = [np.array([(mstar + 1.0) / 2.0]), None, None]
-    return Region(fn, 3, cuts)
+    def interior(x, k):
+        mu = -1.0 + 2.0 * x[:, 0]
+        tk = t[k]
+        exit_s = tk * mu + np.sqrt(
+            np.maximum(1.0 - tk * tk * (1.0 - mu * mu), 0.0))
+        return patch(x, k, mu, np.minimum(rho[k], exit_s)) * 2.0
+
+    def rim(x, k):
+        # mu measured from the inward normal; chord exit is 2 mu
+        mu = x[:, 0]
+        return patch(x, k, mu, np.minimum(rho[k], 2.0 * mu))
+
+    regions = []
+    for k, (tk, rk) in enumerate(zip(t, rho)):
+        cuts = None
+        if on_sphere[k]:
+            if rk / 2.0 < 1.0:
+                cuts = [np.array([rk / 2.0]), None, None]
+            regions.append(Region(rim, 3, cuts, row=k))
+            continue
+        if tk > 1e-14:
+            mstar = (rk * rk + tk * tk - 1.0) / (2.0 * rk * tk)
+            if -1.0 < mstar < 1.0:
+                cuts = [np.array([(mstar + 1.0) / 2.0]), None, None]
+        regions.append(Region(interior, 3, cuts, row=k))
+    return regions
+
+
+def _replicated_mean(sample, n_rep, draw, doubling, volume, budget, target):
+    """Mean over independent replicates of a sampled integral, in rounds.
+
+    sample(rep, rnd, m) returns the sum of m integrand values that replicate
+    rep draws in round rnd. The first round draws `draw` points per
+    replicate; each later round draws as many again or, with `doubling`, as
+    many as all earlier rounds together. Replicate means are volume times
+    the average; their mean is the estimate and their standard error the
+    sigma. Stops when sigma <= target(estimate), or unconverged when the next
+    round would take the evals past `budget`. Returns (estimate, sigma,
+    evals, converged).
+    """
+    sums = np.zeros(n_rep)
+    count = evals = rnd = 0
+    while True:
+        for rep in range(n_rep):
+            sums[rep] += sample(rep, rnd, draw)
+        count += draw
+        evals += n_rep * draw
+        means = volume * sums / count
+        est = float(np.mean(means))
+        sigma = float(np.std(means, ddof=1) / math.sqrt(n_rep))
+        if sigma <= target(est):
+            return est, sigma, evals, True
+        if doubling:
+            draw = count
+        if evals + n_rep * draw > budget:
+            return est, sigma, evals, False
+        rnd += 1
 
 
 def _rqmc_bulk(h_masked, spec, budget, target_fn):
@@ -468,42 +503,26 @@ def _rqmc_bulk(h_masked, spec, budget, target_fn):
     # scipy.stats costs about a second to import; only this path needs it
     from scipy.stats import qmc
 
-    n_rep = 8
-    volume = unit_ball_volume(3)
     engines = [
         qmc.Sobol(d=3, scramble=True,
                   seed=derive_key(spec.seed, "rqmc-bulk", rep))
-        for rep in range(n_rep)
+        for rep in range(8)
     ]
-    sums = np.zeros(n_rep)
-    count = 0
-    evals = 0
-    draw = 4096
-    converged = False
-    while True:
-        for rep, engine in enumerate(engines):
-            u = engine.random(draw)
-            radius = u[:, 0] ** (1.0 / 3.0)
-            mu = 2.0 * u[:, 1] - 1.0
-            beta = TWO_PI * u[:, 2]
-            sl = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-            # built component-major, as the residual kernel reads it
-            cols = np.stack([radius * sl * np.cos(beta),
-                             radius * sl * np.sin(beta),
-                             radius * mu])
-            sums[rep] += np.sum(h_masked(cols.T))
-        count += draw
-        evals += n_rep * draw
-        means = volume * sums / count
-        est = float(np.mean(means))
-        sigma = float(np.std(means, ddof=1) / math.sqrt(n_rep))
-        if sigma <= target_fn(est):
-            converged = True
-            break
-        if evals + n_rep * count > budget:
-            break
-        draw = count  # double the total each round
-    return est, sigma, evals, converged
+
+    def sample(rep, rnd, m):
+        u = engines[rep].random(m)
+        radius = u[:, 0] ** (1.0 / 3.0)
+        mu = 2.0 * u[:, 1] - 1.0
+        beta = TWO_PI * u[:, 2]
+        sl = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
+        # built component-major, as the residual kernel reads it
+        cols = np.stack([radius * sl * np.cos(beta),
+                         radius * sl * np.sin(beta),
+                         radius * mu])
+        return np.sum(h_masked(cols.T))
+
+    return _replicated_mean(sample, len(engines), 4096, True,
+                            unit_ball_volume(3), budget, target_fn)
 
 
 def _energy_rqmc_3d(config, spec):
@@ -524,9 +543,8 @@ def _energy_rqmc_3d(config, spec):
     def residual(pts):
         return _residual_3d(positions, weights, supports, pts)
 
-    zone_regions = [_zone_region_3d(positions[k], config.boundary[k],
-                                    float(radii[k]), residual)
-                    for k in range(len(weights))]
+    zone_regions = _zone_regions_3d(positions, config.boundary, radii,
+                                    residual)
     # zone integrals are small residual corrections; an absolute floor tied
     # to the surrogate mass keeps the refinement from chasing zero
     zone_floor = max(1e-14, 0.25 * spec.rel_tolerance * abs(mass_total))
@@ -566,59 +584,46 @@ def _energy_mc(config, spec):
     sphere_area = d * vd
     rho_imp = 0.5
 
-    n_blocks = 16
-    block = 4096
-    sums = np.zeros(n_blocks)
-    count = 0
-    evals = 0
-    round_idx = 0
-    converged = False
-    while True:
-        for b in range(n_blocks):
-            gen = substream(spec.seed, "mc", round_idx, b)
-            # draw both mixture components for every sample; selection by
-            # mask keeps the stream layout fixed
-            pick_pole = gen.random(block) < 0.5
-            gauss = gen.standard_normal((block, d))
-            gauss /= np.sqrt(np.sum(gauss * gauss, axis=1))[:, None]
-            r_unif = gen.random(block) ** (1.0 / d)
-            x_unif = gauss * r_unif[:, None]
-            idx = gen.integers(0, n, size=block)
-            gauss2 = gen.standard_normal((block, d))
-            gauss2 /= np.sqrt(np.sum(gauss2 * gauss2, axis=1))[:, None]
-            r_pole = gen.random(block) * rho_imp
-            x_pole = positions[idx] + gauss2 * r_pole[:, None]
-            pts = np.where(pick_pole[:, None], x_pole, x_unif)
+    def sample(b, round_idx, m):
+        gen = substream(spec.seed, "mc", round_idx, b)
+        # draw both mixture components for every sample; selection by
+        # mask keeps the stream layout fixed
+        pick_pole = gen.random(m) < 0.5
+        gauss = gen.standard_normal((m, d))
+        gauss /= np.sqrt(np.sum(gauss * gauss, axis=1))[:, None]
+        r_unif = gen.random(m) ** (1.0 / d)
+        x_unif = gauss * r_unif[:, None]
+        idx = gen.integers(0, n, size=m)
+        gauss2 = gen.standard_normal((m, d))
+        gauss2 /= np.sqrt(np.sum(gauss2 * gauss2, axis=1))[:, None]
+        r_pole = gen.random(m) * rho_imp
+        x_pole = positions[idx] + gauss2 * r_pole[:, None]
+        pts = np.where(pick_pole[:, None], x_pole, x_unif)
 
-            inside = np.sum(pts * pts, axis=1) < 1.0
-            dist = np.sqrt(np.sum(
-                (pts[:, None, :] - positions[None, :, :]) ** 2, axis=2))
-            ok = inside & (np.min(dist, axis=1) > 1e-13)
+        inside = np.sum(pts * pts, axis=1) < 1.0
+        dist = np.sqrt(np.sum(
+            (pts[:, None, :] - positions[None, :, :]) ** 2, axis=2))
+        ok = inside & (np.min(dist, axis=1) > 1e-13)
 
-            density = np.zeros(block)
-            density[inside] += 0.5 / vd
-            near = dist < rho_imp
-            radial = np.zeros_like(dist)
-            radial[near] = 1.0 / (rho_imp * sphere_area
-                                  * dist[near] ** (d - 1))
-            density += np.sum(radial, axis=1) / (2.0 * n)
+        density = np.zeros(m)
+        density[inside] += 0.5 / vd
+        near = dist < rho_imp
+        radial = np.zeros_like(dist)
+        radial[near] = 1.0 / (rho_imp * sphere_area
+                              * dist[near] ** (d - 1))
+        density += np.sum(radial, axis=1) / (2.0 * n)
 
-            vals = np.zeros(block)
-            if np.any(ok):
-                vals[ok] = (_field_mag_batch(positions, weights, pts[ok], d)
-                            / density[ok])
-            sums[b] += np.sum(vals)
-        count += block
-        evals += n_blocks * block
-        means = sums / count
-        est = float(np.mean(means))
-        sigma = float(np.std(means, ddof=1) / math.sqrt(n_blocks))
-        if sigma <= max(spec.rel_tolerance * abs(est), 1e-14):
-            converged = True
-            break
-        if evals + n_blocks * block > spec.max_evals:
-            break
-        round_idx += 1
+        vals = np.zeros(m)
+        if np.any(ok):
+            vals[ok] = (_field_mag_batch(positions, weights, pts[ok], d)
+                        / density[ok])
+        return np.sum(vals)
+
+    def target(est):
+        return max(spec.rel_tolerance * abs(est), 1e-14)
+
+    est, sigma, evals, converged = _replicated_mean(
+        sample, 16, 4096, False, 1.0, spec.max_evals, target)
     return QuadratureResult(est, sigma, evals, converged, "mc", degraded=True)
 
 
@@ -675,10 +680,8 @@ def l1_defect(z0: complex, arc, spec: QuadratureSpec | None = None) -> Quadratur
     extra = [a, b]
     floor = max(1e-14, 0.05 * spec.rel_tolerance * length)
     poles = np.array([z0])
-    res = _integrate_disc(g, poles, _on_sphere(np.abs(poles)), [rho], extra,
-                          spec.rel_tolerance, spec.max_evals, abs_floor=floor)
-    return QuadratureResult(float(res.value), float(res.error), res.evals,
-                            res.converged, "adaptive")
+    return _integrate_disc(g, poles, _on_sphere(np.abs(poles)), [rho], extra,
+                           spec.rel_tolerance, spec.max_evals, abs_floor=floor)
 
 
 def two_pole_l1(a: complex, b: complex,
@@ -709,7 +712,5 @@ def two_pole_l1(a: complex, b: complex,
 
     radii = np.minimum(spec.radius_cap(), 0.5 * delta) * np.ones(2)
     floor = max(1e-14, 0.05 * spec.rel_tolerance * delta)
-    res = _integrate_disc(g, poles, _on_sphere(np.abs(poles)), radii, (),
-                          spec.rel_tolerance, spec.max_evals, abs_floor=floor)
-    return QuadratureResult(float(res.value), float(res.error), res.evals,
-                            res.converged, "adaptive")
+    return _integrate_disc(g, poles, _on_sphere(np.abs(poles)), radii, (),
+                           spec.rel_tolerance, spec.max_evals, abs_floor=floor)

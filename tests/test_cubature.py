@@ -51,23 +51,24 @@ class TestOneDimensional:
 
 class TestRegions:
     def test_two_dim_polynomial(self):
-        fn = lambda p: p[:, 0] ** 2 * p[:, 1]
+        fn = lambda p, rows: p[:, 0] ** 2 * p[:, 1]
         res = integrate_regions([Region(fn, 2)], 1e-12, 100_000)
         assert res.value == pytest.approx(1.0 / 6.0, abs=1e-13)
 
     def test_regions_sum(self):
-        r1 = Region(lambda p: p[:, 0], 1)
-        r2 = Region(lambda p: np.ones(p.shape[0]), 1)
+        r1 = Region(lambda p, rows: p[:, 0], 1)
+        r2 = Region(lambda p, rows: np.ones(p.shape[0]), 1)
         res = integrate_regions([r1, r2], 1e-12, 100_000)
         assert res.value == pytest.approx(1.5, abs=1e-13)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            integrate_regions([Region(lambda p: p[:, 0], 1),
-                               Region(lambda p: p[:, 0], 2)], 1e-6, 10_000)
+            integrate_regions([Region(lambda p, rows: p[:, 0], 1),
+                               Region(lambda p, rows: p[:, 0], 2)], 1e-6,
+                              10_000)
 
     def test_cuts_increase_initial_cells(self):
-        fn = lambda p: p[:, 0]
+        fn = lambda p, rows: p[:, 0]
         res = integrate_regions([Region(fn, 1, [np.array([0.25, 0.5])])],
                                 1e-12, 100_000)
         assert res.n_cells >= 3
@@ -76,7 +77,8 @@ class TestRegions:
     def test_initial_decomposition_over_budget(self):
         cuts = [np.linspace(0.001, 0.999, 200)]
         with pytest.raises(ValueError):
-            integrate_regions([Region(lambda p: p[:, 0], 1, cuts)], 1e-6, 1000)
+            integrate_regions([Region(lambda p, rows: p[:, 0], 1, cuts)], 1e-6,
+                              1000)
 
     def test_empty_region_list(self):
         res = integrate_regions([], 1e-6, 1000)
@@ -84,13 +86,13 @@ class TestRegions:
 
     def test_nonconvergence_reported(self):
         # ~1600 oscillations cannot be resolved by ~130 GK15 cells
-        fn = lambda p: np.sin(1e4 * p[:, 0])
+        fn = lambda p, rows: np.sin(1e4 * p[:, 0])
         res = integrate_regions([Region(fn, 1)], 1e-10, 2000)
         assert not res.converged
         assert res.evals <= 2000
 
     def test_error_is_honest_when_converged(self):
-        fn = lambda p: np.exp(p[:, 0]) * np.cos(3.0 * p[:, 1])
+        fn = lambda p, rows: np.exp(p[:, 0]) * np.cos(3.0 * p[:, 1])
         res = integrate_regions([Region(fn, 2)], 1e-9, 200_000)
         exact = (math.e - 1.0) * math.sin(3.0) / 3.0
         assert res.converged
@@ -98,7 +100,8 @@ class TestRegions:
 
 
 class TestFamilies:
-    """Regions sharing one row-indexed integrand versus plain regions."""
+    """Regions sharing one row-indexed integrand versus one single-row
+    family per region."""
 
     @staticmethod
     def _table(n, seed=3):
@@ -117,7 +120,8 @@ class TestFamilies:
         for k in range(eps.size):
             cuts = [np.array([cut[k]]), None] if k % 3 == 0 else None
             if family is None:
-                def fn(x, k=k):
+                def fn(x, rows, k=k):
+                    assert not rows.any()
                     calls.append(x.shape[0])
                     return self._peak(x, eps[k], cx[k], cy[k])
                 regions.append(Region(fn, 2, cuts))
@@ -174,7 +178,7 @@ class TestFamilies:
         fam_a = self._regions(a, self._family(a, calls_a))
         fam_b = self._regions(b, self._family(b, calls_b))
         plain_a, plain_b = self._regions(a, None), self._regions(b, None)
-        odd = Region(lambda x: np.exp(x[:, 0] - x[:, 1]), 2)
+        odd = Region(lambda x, rows: np.exp(x[:, 0] - x[:, 1]), 2)
         mixed = fam_a[:6] + plain_b[:4] + [odd] + fam_b[4:] + plain_a[6:]
         mixed += fam_b[:4] + fam_a[6:]
         reference = plain_a[:6] + plain_b[:4] + [odd] + plain_b[4:]

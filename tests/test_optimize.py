@@ -190,8 +190,11 @@ class TestCertificates:
                                     spec=QuadratureSpec(rel_tolerance=1e-4))
         assert rep.verdict == "inconclusive"
 
-    def test_perturbed_pair_not_minimal(self):
-        ang = np.array([0.0, 2.4])
+    # gap pi/2 is mirror-symmetric, yet its gap gradient must still show
+    @pytest.mark.parametrize("gap", [2.4, 0.5 * math.pi],
+                             ids=["gap_2.4", "gap_pi_over_2"])
+    def test_perturbed_pair_not_minimal(self, gap):
+        ang = np.array([0.0, gap])
         pos = np.column_stack([np.cos(ang), np.sin(ang)])
         rep = local_min_certificate(ChargeConfiguration(pos, np.ones(2)),
                                     spec=QuadratureSpec(rel_tolerance=1e-5))

@@ -297,6 +297,11 @@ class TestDecompositionPins:
                        0.14813440220664695),
         "two_pole": (lambda: two_pole_l1(0.5, 0.5 + 0.3j), 3600,
                      4.586880172713139),
+        # a zone at the origin, one inside and one on the circle
+        "origin_interior_boundary": (lambda: chui_energy(
+            ChargeConfiguration([[0.0, 0.0], [0.4, -0.3], [0.0, 1.0]],
+                                [1.0, 0.5, 2.0]),
+            QuadratureSpec(rel_tolerance=1e-4)), 5850, 12.870133467162336),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -531,6 +536,23 @@ class TestStochasticPins:
         "boundary4": (lambda: chui_energy(
             _single(1.0, 4), QuadratureSpec(rel_tolerance=3e-3, seed=7)),
             "0x1.0d5d769b4b930p+3", "0x1.5ab5f8523662cp-6", 196608, True),
+        # every d = 3 zone kind in one call: at the origin, inside (with a
+        # negative weight) and on the sphere
+        "zones3_mixed": (lambda: chui_energy(
+            ChargeConfiguration([[0.0, 0.0, 0.0], [0.3, -0.2, 0.4],
+                                 [0.0, 0.6, 0.8]], [1.0, -0.5, 2.0]),
+            QuadratureSpec(seed=7)),
+            "0x1.63f03fd7ad152p+4", "0x1.c5da98b846069p-9", 46373, True),
+        # both replicate loops stopped by their budget
+        "budget4_mc": (lambda: chui_energy(
+            random_config(5, 4, seed=4, interior=True),
+            QuadratureSpec(rel_tolerance=1e-4, max_evals=300_000, seed=7)),
+            "0x1.c587b6a3b1cc7p+5", "0x1.8a0281809db23p-5", 262144, False),
+        "budget3_pair": (lambda: chui_energy(
+            ChargeConfiguration([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5001]],
+                                [1.0, 1.0]),
+            QuadratureSpec(max_evals=400_000, seed=7)),
+            "0x1.6c4f759c6e7afp+4", "0x1.44966613c14a9p-3", 268954, False),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
