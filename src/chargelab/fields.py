@@ -167,8 +167,8 @@ def _cauchy_abs_batch(poles, weights, z):
 # build diff[c, k, j] = x_k[c] - x_j[c], one (poles x points) array per
 # component, and r2[k, j] = |x_k - x_j|^2 once, accumulated component by
 # component. Every consumer of r2 (the field below, the d = 3 surrogate and
-# zone mask in quadrature.py) reads the same array, and each reduction runs
-# over poles (or components) in index order, so a point's value depends
+# on-pole guard in quadrature.py) reads the same array, and each reduction
+# runs over poles (or components) in index order, so a point's value depends
 # neither on the chunking nor on how many points share its call.
 
 def _offsets(positions, pts):

@@ -1,30 +1,30 @@
 """Energy and defect integrals over the unit disc and ball.
 
 Every integrand here is a field magnitude with integrable point singularities
-at the charge locations. The strategy is the same in all dimensions:
+at the charge locations. Each dimension handles them its own way:
 
-  * a "pole zone" around each charge (a pole-centered ball clipped to the
-    unit ball) is integrated in pole-centered polar coordinates, where the
-    r^(d-1) volume Jacobian cancels the leading ~ w/r^(d-1) blow-up;
-  * the remaining bulk uses a dimension-matched method: deterministic
-    adaptive cubature on angular-band slices for d = 2, randomized
-    quasi-Monte Carlo with singularity-subtracted residuals for d = 3,
-    and plain importance-sampled Monte Carlo for d >= 4 (accuracy degraded
-    and flagged).
+  * d = 2: a "pole zone" around each charge (a pole-centered disc clipped to
+    the unit disc) is integrated in pole-centered polar coordinates, where
+    the s Jacobian cancels the ~ w/s blow-up, and the rest of the disc by
+    deterministic adaptive cubature on angular-band slices. The zones are
+    two cubature region families indexed by pole, one for poles inside (the
+    origin included) and one for poles on the circle; the bulk pieces are a
+    third.
+  * d = 3: a singular surrogate |w_k| c(r)/r^2 per pole is integrated
+    exactly, and randomized quasi-Monte Carlo integrates the bounded
+    residual (field magnitude minus the surrogate) over the whole ball.
+  * d >= 4: plain importance-sampled Monte Carlo (accuracy degraded and
+    flagged).
 
-For d = 3 the residual (field magnitude minus the singular surrogate) is one
-kernel, `_residual_3d`. It works on chunks of points in the component-major
-layout of fields.py: per chunk it builds the (poles x points) offsets, forms
-r^2 once, and reads that one array for the field sum, the surrogate's cutoff
-and the zone mask. Chunks hold at most 2^15 pole-point pairs, so their
-arrays stay in a core's cache.
+The d = 3 residual is one kernel, `_residual_3d`. It works on chunks of
+points in the component-major layout of fields.py: per chunk it builds the
+(poles x points) offsets, forms r^2 once, and reads that one array for the
+field sum and the surrogate's cutoff. Chunks hold at most 2^15 pole-point
+pairs, so their arrays stay in a core's cache.
 
-In d = 2 and d = 3 alike the zones are two cubature region families indexed
-by pole, one for poles inside (the origin included) and one for poles on the
-sphere; the d = 2 bulk pieces are a third. The d = 3 RQMC bulk and the
-d >= 4 Monte Carlo differ only in how a replicate draws its points: both
-run `_replicated_mean`, which owns the sums, the estimate, its standard
-error and the tolerance and budget stops.
+The d = 3 RQMC bulk and the d >= 4 Monte Carlo differ only in how a
+replicate draws its points: both run `_replicated_mean`, which owns the
+sums, the estimate, its standard error and the tolerance and budget stops.
 
 Determinism contract: identical inputs (including the seed) give
 bit-identical results regardless of machine load or thread count. All
@@ -58,7 +58,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# cap on zone radii when the caller does not override pole_radius
+# cap on the d = 2 zone radii when the caller does not override pole_radius
 DEFAULT_POLE_RADIUS = 0.1
 
 _METHODS = ("auto", "adaptive", "rqmc", "mc")
@@ -75,7 +75,9 @@ class QuadratureSpec:
 
     method "auto" resolves by dimension: adaptive (d=2), rqmc (d=3),
     mc (d>=4). "mc" may be forced in any dimension as a slow cross-check;
-    the structured methods are dimension-specific.
+    the structured methods are dimension-specific. pole_radius caps the
+    d = 2 pole zones (energies, defects and two-pole integrals); the other
+    dimensions have no zones and ignore it.
     """
 
     method: str = "auto"
@@ -137,7 +139,7 @@ class QuadratureResult:
 
 
 # ---------------------------------------------------------------------------
-# zone geometry shared by all dimensions
+# pole spacing
 # ---------------------------------------------------------------------------
 
 def _nearest_neighbor_dists(points):
@@ -326,19 +328,8 @@ def _energy_adaptive_2d(config, spec):
 
 
 # ---------------------------------------------------------------------------
-# d = 3: polar zones + RQMC bulk on a singularity-subtracted residual
+# d = 3: exact surrogate mass + RQMC of the bounded residual
 # ---------------------------------------------------------------------------
-
-def _orthonormal_frame(axis):
-    """Deterministic right-handed frame (e1, e2, axis)."""
-    k = int(np.argmin(np.abs(axis)))
-    e1 = np.zeros(3)
-    e1[k] = 1.0
-    e1 -= axis * np.dot(e1, axis)
-    e1 /= np.sqrt(np.dot(e1, e1))
-    e2 = np.cross(axis, e1)
-    return e1, e2
-
 
 def _cutoff(r, support):
     """C^1 taper: 1 on [0, R/2], cubic smoothstep down to 0 at R.
@@ -359,17 +350,16 @@ def _cutoff(r, support):
     return np.subtract(1.0, xi, out=xi)
 
 
-def _residual_3d(positions, weights, supports, pts, radii=None):
+def _residual_3d(positions, weights, supports, pts):
     """Field magnitude minus the surrogate sum_k |w_k| c(|x-x_k|)/|x-x_k|^2.
 
     The surrogate matches each pole's leading blow-up |w_k|/r^2, whatever the
     sign of w_k, so the residual stays bounded. One pass per chunk of points:
-    the component-major offsets and r^2 (see fields.py) feed the field sum,
-    the surrogate's cutoff and, when radii is given, the zone mask, which
-    gives 0 at every point inside some pole's zone (the zone cubature covers
-    those). The zone cubature calls this unmasked, the RQMC bulk masked.
-    Masked points at a pole give inf or nan before masking, so the floating
-    point warnings are silenced.
+    the component-major offsets and r^2 (see fields.py) feed the field sum
+    and the surrogate's cutoff. A point exactly on a pole (r^2 == 0) would
+    give nan and contributes 0 instead: scrambled Sobol coordinates are
+    30-bit values, so the RQMC bulk can land exactly on a pole at the
+    origin. The floating point warnings of such points are silenced.
     """
     out = np.empty(pts.shape[0])
     for sl in _chunks(pts.shape[0], positions.shape[0], _CACHE_PAIRS):
@@ -382,8 +372,7 @@ def _residual_3d(positions, weights, supports, pts, radii=None):
             cut /= r
             res = _field_mag(diff, r2, weights, 3)
             res -= _pole_sum(cut)
-        if radii is not None:
-            res[np.any(r2 < (radii * radii)[:, None], axis=0)] = 0.0
+        res[np.any(r2 == 0.0, axis=0)] = 0.0
         out[sl] = res
     return out
 
@@ -407,60 +396,6 @@ def _surrogate_mass(t, support):
     res = integrate_1d(profile, 0.0, support, 1e-12, max_evals=300_000,
                        cuts=cuts)
     return float(res.value), res.evals
-
-
-def _zone_regions_3d(positions, on_sphere, rho, h):
-    """Pole-centered spherical patch around each pole; h must stay bounded
-    at the pole.
-
-    Interior zones form one family and on-sphere zones another, each with the
-    pole index as its row. Each pole has a frame (e1, e2, axis) whose axis
-    points to the origin (a fixed axis for a pole at the origin, which is an
-    interior zone without cuts); directions are (mu, beta) in that frame.
-    """
-    t = np.array([np.sqrt(np.dot(p, p)) for p in positions])
-    axes = np.array([-p / tk if tk > 1e-14 else np.array([0.0, 0.0, 1.0])
-                     for p, tk in zip(positions, t)])
-    e1, e2 = np.array([_orthonormal_frame(a) for a in axes]).swapaxes(0, 1)
-
-    def patch(x, k, mu, cap):
-        # h at distance s = cap x2 from pole k along (mu, beta = 2 pi x1),
-        # times s^2 cap 2 pi: the volume Jacobian when mu spans a unit range
-        beta = TWO_PI * x[:, 1]
-        s = cap * x[:, 2]
-        sl = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-        dirs = (mu[:, None] * axes[k]
-                + sl[:, None] * (np.cos(beta)[:, None] * e1[k]
-                                 + np.sin(beta)[:, None] * e2[k]))
-        pts = positions[k] + s[:, None] * dirs
-        return h(pts) * s * s * cap * TWO_PI
-
-    def interior(x, k):
-        mu = -1.0 + 2.0 * x[:, 0]
-        tk = t[k]
-        exit_s = tk * mu + np.sqrt(
-            np.maximum(1.0 - tk * tk * (1.0 - mu * mu), 0.0))
-        return patch(x, k, mu, np.minimum(rho[k], exit_s)) * 2.0
-
-    def rim(x, k):
-        # mu measured from the inward normal; chord exit is 2 mu
-        mu = x[:, 0]
-        return patch(x, k, mu, np.minimum(rho[k], 2.0 * mu))
-
-    regions = []
-    for k, (tk, rk) in enumerate(zip(t, rho)):
-        cuts = None
-        if on_sphere[k]:
-            if rk / 2.0 < 1.0:
-                cuts = [np.array([rk / 2.0]), None, None]
-            regions.append(Region(rim, 3, cuts, row=k))
-            continue
-        if tk > 1e-14:
-            mstar = (rk * rk + tk * tk - 1.0) / (2.0 * rk * tk)
-            if -1.0 < mstar < 1.0:
-                cuts = [np.array([(mstar + 1.0) / 2.0]), None, None]
-        regions.append(Region(interior, 3, cuts, row=k))
-    return regions
 
 
 def _replicated_mean(sample, n_rep, draw, doubling, volume, budget, target):
@@ -494,7 +429,7 @@ def _replicated_mean(sample, n_rep, draw, doubling, volume, budget, target):
         rnd += 1
 
 
-def _rqmc_bulk(h_masked, spec, budget, target_fn):
+def _rqmc_bulk(h, spec, budget, target_fn):
     """Scrambled-Sobol mean of a ball integrand, 8 replicates, doubled rounds.
 
     target_fn maps the current bulk estimate to the absolute sigma target;
@@ -519,7 +454,7 @@ def _rqmc_bulk(h_masked, spec, budget, target_fn):
         cols = np.stack([radius * sl * np.cos(beta),
                          radius * sl * np.sin(beta),
                          radius * mu])
-        return np.sum(h_masked(cols.T))
+        return np.sum(h(cols.T))
 
     return _replicated_mean(sample, len(engines), 4096, True,
                             unit_ball_volume(3), budget, target_fn)
@@ -528,47 +463,27 @@ def _rqmc_bulk(h_masked, spec, budget, target_fn):
 def _energy_rqmc_3d(config, spec):
     positions = config.positions
     weights = config.weights
-    nn = _nearest_neighbor_dists(positions)
-    radii = np.minimum(spec.radius_cap(), 0.5 * nn)
-    supports = np.minimum(0.5, nn)
+    supports = np.minimum(0.5, _nearest_neighbor_dists(positions))
 
-    mass_total = 0.0
+    mass = 0.0
     mass_evals = 0
     for k in range(len(weights)):
         t = float(np.sqrt(np.dot(positions[k], positions[k])))
         m, ev = _surrogate_mass(t, float(supports[k]))
-        mass_total += abs(float(weights[k])) * m
+        mass += abs(float(weights[k])) * m
         mass_evals += ev
 
     def residual(pts):
         return _residual_3d(positions, weights, supports, pts)
 
-    zone_regions = _zone_regions_3d(positions, config.boundary, radii,
-                                    residual)
-    # zone integrals are small residual corrections; an absolute floor tied
-    # to the surrogate mass keeps the refinement from chasing zero
-    zone_floor = max(1e-14, 0.25 * spec.rel_tolerance * abs(mass_total))
-    zone_budget = spec.max_evals // 2
-    zres = integrate_regions(zone_regions, spec.rel_tolerance, zone_budget,
-                             abs_floor=zone_floor)
-    zone_val = float(zres.value)
-
-    def masked(pts):
-        return _residual_3d(positions, weights, supports, pts, radii)
-
     def target(bulk_est):
-        total = zone_val + mass_total + bulk_est
-        return max(0.75 * spec.rel_tolerance * abs(total), 1e-14)
+        return max(0.75 * spec.rel_tolerance * abs(mass + bulk_est), 1e-14)
 
-    bulk_budget = max(spec.max_evals - zres.evals - mass_evals, 8 * 4096)
-    bulk, sigma, bulk_evals, bulk_ok = _rqmc_bulk(masked, spec, bulk_budget,
-                                                  target)
-
-    value = zone_val + mass_total + bulk
-    error = float(zres.error) + sigma
-    evals = zres.evals + mass_evals + bulk_evals
-    return QuadratureResult(float(value), error, evals,
-                            zres.converged and bulk_ok, "rqmc")
+    budget = max(spec.max_evals - mass_evals, 8 * 4096)
+    bulk, sigma, bulk_evals, converged = _rqmc_bulk(residual, spec, budget,
+                                                    target)
+    return QuadratureResult(float(mass + bulk), sigma, mass_evals + bulk_evals,
+                            converged, "rqmc")
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,49 @@ def single_pole_energy_3d(t: float) -> float:
     return 2.0 * math.pi * (1.0 + (1.0 - t * t) * math.atanh(t) / t)
 
 
+def coaxial_pair_energy_3d(delta: float, w2: float) -> float:
+    """Energy of poles at (0, 0, 0.5) and (0, 0, 0.5 + delta) in B^3, with
+    weights 1 and w2.
+
+    The field is axisymmetric about the z axis, so the ball integral is a
+    nested 2-D one in spherical coordinates (s, theta) about the pair's
+    midpoint c = 0.5 + delta/2 on the axis:
+
+        E = int_0^(1+c) int_theta_min(s)^pi 2 pi s^2 sin(theta) |F| dtheta ds
+
+    where the ball cuts theta_min(s) = acos((1 - c^2 - s^2) / (2 c s)) once
+    s > 1 - c. Both poles sit at s = delta/2 (theta = 0 and pi), where the
+    inner integral has a log singularity, so s has a breakpoint there and
+    another at the kink 1 - c. With w2 = 0 this is single_pole_energy_3d(0.5).
+    """
+    a = 0.5 * delta
+    c = 0.5 + a
+    poles = ((-a, 1.0), (a, w2))
+
+    def integrand(theta, s):
+        rho = s * math.sin(theta)
+        z = s * math.cos(theta)
+        f_rho = f_z = 0.0
+        for zk, wk in poles:
+            dz = z - zk
+            d3 = (rho * rho + dz * dz) ** 1.5
+            f_rho += wk * rho / d3
+            f_z += wk * dz / d3
+        return 2.0 * math.pi * s * s * math.sin(theta) * math.hypot(f_rho, f_z)
+
+    def inner(s):
+        lo = 0.0
+        if s > 1.0 - c:
+            lo = math.acos(max(-1.0, (1.0 - c * c - s * s) / (2.0 * c * s)))
+        return integrate.quad(integrand, lo, math.pi, args=(s,), epsabs=0.0,
+                              epsrel=1e-12, limit=400)[0]
+
+    val, err = integrate.quad(inner, 0.0, 1.0 + c, points=[a, 1.0 - c],
+                              epsabs=0.0, epsrel=1e-12, limit=400)
+    assert err < 1e-9
+    return val
+
+
 def mc_energy(positions, weights, d: int, n_samples: int, seed: int):
     """Plain uniform-ball Monte Carlo estimate of the energy.
 
@@ -142,6 +185,15 @@ FROZEN_SINGLE_3D = {
 }
 
 ORACLE_TOL = 5e-8
+
+# coaxial_pair_energy_3d(delta, w2) outputs, keyed by (delta, w2)
+FROZEN_COAXIAL_PAIR_3D = {
+    (0.1, 1.0): 21.98817726862197,
+    (0.1, -1.0): 5.515467131739428,
+    (0.1, 0.5): 16.65268304359343,
+    (0.03, 1.0): 22.64864626907506,
+    (0.03, -1.0): 2.294611575185134,
+}
 
 # boundary pole in dimension 4: nested 2-D spherical reduction (QUADPACK,
 # reported error ~9e-10) reproduces 8*pi/3 to 3e-11 relative

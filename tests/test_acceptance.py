@@ -234,9 +234,20 @@ def test_criterion_09_optimizer_and_certificates():
         cert_ok = cert_ok and cert.max_gradient <= cert.gradient_error
         cert_details.append(f"n={n} |g|max {cert.max_gradient:.2e} "
                             f"<= bar {cert.gradient_error:.2e}")
+    # negative control: the gradient check must be able to fail, so a pair
+    # a quarter turn apart must show a gradient well above its error bar
+    ang = np.array([0.0, 0.5 * math.pi])
+    pair = ChargeConfiguration(np.column_stack([np.cos(ang), np.sin(ang)]),
+                               np.ones(2))
+    control = local_min_certificate(pair,
+                                    spec=QuadratureSpec(rel_tolerance=1e-5))
+    control_ok = control.max_gradient > 3.0 * control.gradient_error
+    cert_details.append(f"gap pi/2 |g|max {control.max_gradient:.2e} "
+                        f"> 3 x bar {control.gradient_error:.2e}")
     elapsed = time.monotonic() - t0
-    ok = gap_ok and oracle_ok and cert_ok and elapsed < limit_s
-    _verdict_line(9, "optimizer pair gap + flat gradients at uniform spacing",
+    ok = gap_ok and oracle_ok and cert_ok and control_ok and elapsed < limit_s
+    _verdict_line(9, "optimizer pair gap + flat gradients at uniform spacing, "
+                  "steep at gap pi/2",
                   ok, f"gap {gap:.4f} (oracle argmin pi: {oracle_ok}); "
                       f"{'; '.join(cert_details)}; elapsed {elapsed:.1f}s")
 

@@ -16,10 +16,11 @@ from chargelab import (ChargeConfiguration, QuadratureSpec, chui_energy,
 from chargelab.quadrature import (DEFAULT_POLE_RADIUS, _cutoff,
                                   _nearest_neighbor_dists, _residual_3d)
 
-from _oracles import (FROZEN_SINGLE_2D, FROZEN_SINGLE_3D,
-                      FROZEN_SINGLE_4D_BOUNDARY, FROZEN_UNIFORM_ENERGY,
-                      ORACLE_TOL, mc_energy, single_pole_energy_2d,
-                      single_pole_energy_3d, uniform_energy)
+from _oracles import (FROZEN_COAXIAL_PAIR_3D, FROZEN_SINGLE_2D,
+                      FROZEN_SINGLE_3D, FROZEN_SINGLE_4D_BOUNDARY,
+                      FROZEN_UNIFORM_ENERGY, ORACLE_TOL, coaxial_pair_energy_3d,
+                      mc_energy, single_pole_energy_2d, single_pole_energy_3d,
+                      uniform_energy)
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,6 +45,13 @@ class TestOracleSelfConsistency:
     def test_single_pole_3d(self):
         for t, v in FROZEN_SINGLE_3D.items():
             assert abs(single_pole_energy_3d(t) - v) <= ORACLE_TOL
+
+    def test_coaxial_pair_3d(self):
+        # a zero second weight leaves the single pole at t = 0.5
+        assert (abs(coaxial_pair_energy_3d(0.1, 0.0) - FROZEN_SINGLE_3D[0.5])
+                <= ORACLE_TOL)
+        for (delta, w2), v in FROZEN_COAXIAL_PAIR_3D.items():
+            assert abs(coaxial_pair_energy_3d(delta, w2) - v) <= ORACLE_TOL
 
 
 class TestSpecValidation:
@@ -123,8 +131,22 @@ class TestSinglePole3d:
         assert abs(res.value - expect) <= max(4.0 * res.error, 3e-3 * expect)
 
 
+class TestCoaxialPair3d:
+    """Crowded poles, same and opposite signs, at the default spec."""
+
+    @pytest.mark.parametrize("delta,w2", sorted(FROZEN_COAXIAL_PAIR_3D))
+    def test_against_nested_quad(self, delta, w2):
+        cfg = ChargeConfiguration([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5 + delta]],
+                                  [1.0, w2])
+        res = chui_energy(cfg, QuadratureSpec())
+        expect = FROZEN_COAXIAL_PAIR_3D[(delta, w2)]
+        assert res.converged
+        assert abs(res.value - expect) <= max(4.0 * res.error, 3e-3 * expect)
+
+
 class TestNearSpherePole:
-    """1e-11 inside the sphere is interior for the bounds and the zones alike."""
+    """1e-11 inside the sphere is interior for the bounds and the d = 2
+    zones alike, and converges to the closed form in d = 2 and d = 3."""
 
     @pytest.mark.parametrize("d,oracle", [(2, single_pole_energy_2d),
                                           (3, single_pole_energy_3d)])
@@ -314,10 +336,9 @@ class TestDecompositionPins:
 
 
 # the d = 3 residual as it was computed before the component-major kernel:
-# (points x poles x 3) offsets for the field, one pass per pole for the
-# surrogate, and the zone mask applied by copying the kept points. The
-# surrogate term carries |w_k|, the current rule; the old code had w_k,
-# which is the same for every positive weight
+# (points x poles x 3) offsets for the field and one pass per pole for the
+# surrogate. The surrogate term carries |w_k|, the current rule; the old code
+# had w_k, which is the same for every positive weight
 def _old_field(positions, weights, pts, d):
     diff = positions[None, :, :] - pts[:, None, :]
     r2 = np.sum(diff * diff, axis=2)
@@ -348,17 +369,6 @@ def _old_residual(positions, weights, supports, pts):
     return _old_field(positions, weights, pts, 3) - total
 
 
-def _old_masked(positions, weights, supports, radii, pts):
-    keep = np.ones(pts.shape[0], dtype=bool)
-    for k in range(positions.shape[0]):
-        diff = pts - positions[k]
-        keep &= np.sum(diff * diff, axis=1) >= radii[k] * radii[k]
-    out = np.zeros(pts.shape[0])
-    if np.any(keep):
-        out[keep] = _old_residual(positions, weights, supports, pts[keep])
-    return out
-
-
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
@@ -368,15 +378,17 @@ class TestResidualKernel:
     bit, on points chosen to sit on every boundary the kernel tests."""
 
     @staticmethod
-    def _zones(positions):
+    def _scales(positions):
+        """The residual's supports and, as one more probe distance, the
+        planar zone radius rule."""
         nn = _nearest_neighbor_dists(positions)
         return np.minimum(0.5, nn), np.minimum(DEFAULT_POLE_RADIUS, 0.5 * nn)
 
     @staticmethod
     def _probes(positions, supports, radii, gen):
-        """Random ball points and, per pole, offsets along the axes by 0, the
-        zone radius, half the support and the support (exact for the dyadic
-        pair), each also scaled by 1 -+ 1e-15."""
+        """Random ball points and, per pole, offsets along the axes by 0,
+        1e-9, the radius, half the support and the support (exact for the
+        dyadic pair), each also scaled by 1 -+ 1e-15."""
         pts = [gen.standard_normal((5000, 3))]
         pts[0] *= (gen.random(5000) ** (1 / 3)
                    / np.linalg.norm(pts[0], axis=1))[:, None]
@@ -409,24 +421,23 @@ class TestResidualKernel:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_bitwise_against_old_formula(self, name):
         pos, w = map(np.asarray, self.CONFIGS[name]())
-        supports, radii = self._zones(pos)
+        supports, radii = self._scales(pos)
         pts = self._probes(pos, supports, radii, np.random.default_rng(1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            masked = _residual_3d(pos, w, supports, pts, radii)
+            got = _residual_3d(pos, w, supports, pts)
             single = np.concatenate([
-                _residual_3d(pos, w, supports, pts[j:j + 1], radii)
+                _residual_3d(pos, w, supports, pts[j:j + 1])
                 for j in range(0, len(pts), 97)])
-        expect = _old_masked(pos, w, supports, radii, pts)
-        assert np.array_equal(_bits(masked), _bits(expect))
-        assert np.array_equal(_bits(single), _bits(expect[::97]))
-        # unmasked, off the poles themselves (the zone cubature never
-        # evaluates there)
-        off = np.min(np.sum((pts[:, None] - pos[None]) ** 2, axis=2), axis=1) > 0
-        plain = _residual_3d(pos, w, supports, pts[off])
-        old = _old_residual(pos, w, supports, pts[off])
-        assert np.all(np.isfinite(plain))
-        assert np.array_equal(_bits(plain), _bits(old))
+            # a point exactly on a pole contributes exactly 0.0
+            on = np.min(np.sum((pts[:, None] - pos[None]) ** 2, axis=2),
+                        axis=1) == 0
+            expect = _old_residual(pos, w, supports, pts[~on])
+        assert np.any(on)
+        assert np.array_equal(_bits(got[on]), _bits(np.zeros(np.sum(on))))
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(_bits(got[~on]), _bits(expect))
+        assert np.array_equal(_bits(single), _bits(got[::97]))
 
     def test_cutoff_against_old_form(self):
         support = 0.37
@@ -523,26 +534,26 @@ class TestStochasticPins:
     CASES = {
         "single3_0.5": (lambda: chui_energy(_single(0.5, 3),
                                             QuadratureSpec(seed=7)),
-                        "0x1.6ed96d72ee679p+3", "0x1.f51443f983577p-10",
-                        36173, True),
+                        "0x1.6ed96d72ee678p+3", "0x1.f51443f983420p-10",
+                        32798, True),
         "fibonacci_9": (lambda: chui_energy(fibonacci_sphere_config(9),
                                             QuadratureSpec(seed=7)),
-                        "0x1.b8ef8056d8863p+4", "0x1.4c23c5c7d1117p-8",
-                        93788, True),
+                        "0x1.b8ebd453af265p+4", "0x1.409ff3f4dc0a6p-8",
+                        33038, True),
         "interior3_4": (lambda: chui_energy(
             random_config(4, 3, seed=13, interior=True),
             QuadratureSpec(seed=7)),
-            "0x1.8648d47e39fbep+4", "0x1.39c5313516ca8p-8", 56963, True),
+            "0x1.8649cf93678d3p+4", "0x1.22f6d0c3dc7d4p-8", 33338, True),
         "boundary4": (lambda: chui_energy(
             _single(1.0, 4), QuadratureSpec(rel_tolerance=3e-3, seed=7)),
             "0x1.0d5d769b4b930p+3", "0x1.5ab5f8523662cp-6", 196608, True),
-        # every d = 3 zone kind in one call: at the origin, inside (with a
-        # negative weight) and on the sphere
+        # d = 3 poles at the origin, inside (with a negative weight) and on
+        # the sphere in one call
         "zones3_mixed": (lambda: chui_energy(
             ChargeConfiguration([[0.0, 0.0, 0.0], [0.3, -0.2, 0.4],
                                  [0.0, 0.6, 0.8]], [1.0, -0.5, 2.0]),
             QuadratureSpec(seed=7)),
-            "0x1.63f03fd7ad152p+4", "0x1.c5da98b846069p-9", 46373, True),
+            "0x1.63fb3ce8a48e7p+4", "0x1.d419e2d320ef6p-9", 32873, True),
         # both replicate loops stopped by their budget
         "budget4_mc": (lambda: chui_energy(
             random_config(5, 4, seed=4, interior=True),
@@ -552,7 +563,7 @@ class TestStochasticPins:
             ChargeConfiguration([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5001]],
                                 [1.0, 1.0]),
             QuadratureSpec(max_evals=400_000, seed=7)),
-            "0x1.6c4f759c6e7afp+4", "0x1.44966613c14a9p-3", 268954, False),
+            "0x1.6c4f88413a137p+4", "0x1.4496564789e2cp-3", 262204, False),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
