@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .configurations import ArcPartition, ChargeConfiguration
+from .configurations import ArcPartition, ChargeConfiguration, _sphere_points
 from .quadrature import (QuadratureResult, QuadratureSpec, chui_energy,
                          l1_defect, unit_ball_volume)
 from .rng import substream
@@ -493,11 +493,6 @@ def make_bound_report(config: ChargeConfiguration,
 # ---------------------------------------------------------------------------
 # randomized property suites (vectorized)
 # ---------------------------------------------------------------------------
-
-def _sphere_points(gen, m, d):
-    v = gen.standard_normal((m, d))
-    return v / np.sqrt(np.sum(v * v, axis=1))[:, None]
-
 
 def _ball_points(gen, m, d, shrink=1.0 - 1e-9):
     u = _sphere_points(gen, m, d)

@@ -16,6 +16,8 @@ Exit codes: 0 ok, 1 bound/property violation, 2 input or parse error,
 
 Every artifact embeds tool version, seed, integration spec, and a
 wall-clock stamp; reruns with equal inputs differ only in the stamp.
+--format csv is offered where the result is a table; lemma-suite, optimize
+and verify-all write JSON only and reject it as a parse error.
 CSV columns (fixed order, 17 significant digits):
   energy:        energy,err,evals,converged,method
   bounds:        energy,err,A,B,G,ratio_lower,ratio_upper,lower_newman,
@@ -80,17 +82,19 @@ def _build_parser() -> argparse.ArgumentParser:
     quad.add_argument("--rel-tol", type=float, default=1e-3)
     quad.add_argument("--max-evals", type=int, default=10_000_000)
 
+    # JSON-only commands take --out; the tabular ones also take --format
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output path (default: stdout)")
-    out.add_argument("--format", choices=("json", "csv"), default="json")
+    table = argparse.ArgumentParser(add_help=False, parents=[out])
+    table.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sub.add_parser("energy", parents=[src, quad, out])
-    sub.add_parser("bounds", parents=[src, quad, out])
+    sub.add_parser("energy", parents=[src, quad, table])
+    sub.add_parser("bounds", parents=[src, quad, table])
 
-    p = sub.add_parser("defect-sweep", parents=[quad, out])
+    p = sub.add_parser("defect-sweep", parents=[quad, table])
     p.add_argument("--levels", type=int, default=10,
                    help="halvings: l = 2pi * 2^-j for j = 0..levels")
-    p = sub.add_parser("prop14-sweep", parents=[quad, out])
+    p = sub.add_parser("prop14-sweep", parents=[quad, table])
     p.add_argument("--levels", type=int, default=10,
                    help="separations delta = 2^-j for j = 2..levels")
 
@@ -158,15 +162,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit_csv(meta: dict, columns, rows, out) -> None:
-    lines = [f"# {k}={meta[k]}" for k in ("version", "command", "seed")]
-    spec = meta["spec"]
+def _emit(doc: dict, columns, rows, args) -> None:
+    """`doc` as JSON, or under --format csv its metadata and `rows`."""
+    if args.format == "json":
+        _emit_json(doc, args.out)
+        return
+    lines = [f"# {k}={doc[k]}" for k in ("version", "command", "seed")]
+    spec = doc["spec"]
     lines.append("# spec=" + ",".join(f"{k}:{_fmt(v)}" for k, v in sorted(spec.items())))
-    lines.append(f"# wallclock_utc={meta['wallclock_utc']}")
+    lines.append(f"# wallclock_utc={doc['wallclock_utc']}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _write_text("\n".join(lines) + "\n", out)
+    _write_text("\n".join(lines) + "\n", args.out)
 
 
 def _parse_weights(text: str) -> np.ndarray:
@@ -224,12 +232,8 @@ def _cmd_energy(args) -> int:
     doc.update({"energy": res.value, "err": res.error, "evals": res.evals,
                 "converged": res.converged, "method": res.method,
                 "degraded": res.degraded})
-    if args.format == "csv":
-        _emit_csv(doc, ("energy", "err", "evals", "converged", "method"),
-                  [(res.value, res.error, res.evals, res.converged, res.method)],
-                  args.out)
-    else:
-        _emit_json(doc, args.out)
+    _emit(doc, ("energy", "err", "evals", "converged", "method"),
+          [(res.value, res.error, res.evals, res.converged, res.method)], args)
     return EXIT_OK if res.converged else EXIT_NONCONVERGED
 
 
@@ -248,11 +252,8 @@ def _cmd_bounds(args) -> int:
     doc = _meta("bounds", args, spec)
     doc["config"] = config_to_json_dict(cfg)
     doc["report"] = rd
-    if args.format == "csv":
-        _emit_csv(doc, _BOUNDS_COLUMNS,
-                  [tuple(rd.get(c) for c in _BOUNDS_COLUMNS)], args.out)
-    else:
-        _emit_json(doc, args.out)
+    _emit(doc, _BOUNDS_COLUMNS, [tuple(rd.get(c) for c in _BOUNDS_COLUMNS)],
+          args)
     if not report.converged:
         return EXIT_NONCONVERGED
     if any(v == "violated" for v in report.verdicts.values()):
@@ -300,11 +301,7 @@ def _cmd_sweep(args) -> int:
     rows, converged = build_rows(args.levels, spec)
     doc = _meta(args.command, args, spec)
     doc["rows"] = rows
-    if args.format == "csv":
-        _emit_csv(doc, columns, [tuple(r[c] for c in columns) for r in rows],
-                  args.out)
-    else:
-        _emit_json(doc, args.out)
+    _emit(doc, columns, [tuple(r[c] for c in columns) for r in rows], args)
     return EXIT_OK if converged else EXIT_NONCONVERGED
 
 

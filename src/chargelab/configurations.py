@@ -237,6 +237,12 @@ def fibonacci_sphere_config(n: int) -> ChargeConfiguration:
     return ChargeConfiguration(pos, np.ones(n))
 
 
+def _sphere_points(gen, m, d):
+    """m points uniform on S^{d-1}: normalized Gaussian draws from `gen`."""
+    v = gen.standard_normal((m, d))
+    return v / np.sqrt(np.sum(v * v, axis=1))[:, None]
+
+
 def random_config(n: int, d: int, seed: int, interior: bool = False) -> ChargeConfiguration:
     """n unit-weight charges placed uniformly on S^{d-1} (or in B^d).
 

@@ -9,6 +9,9 @@ Rotation invariance makes the raw objective flat along a d(d-1)/2 manifold;
 the flat directions are removed by gauge pinning. In the plane the first
 charge's angle stays at its initial value; on the 2-sphere the first charge
 is fixed entirely and the second keeps its initial azimuth.
+
+One multistart loop serves d = 2 and d = 3; a per-dimension table gives it
+the first start, the coordinate map, the local stage and the restart draw.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import math
 import numpy as np
 from scipy import optimize as sp_optimize
 
-from .configurations import (ChargeConfiguration, cluster_poles,
-                             fibonacci_sphere_config, weighted_arc_config)
+from .configurations import (ChargeConfiguration, _sphere_points,
+                             cluster_poles, fibonacci_sphere_config,
+                             weighted_arc_config)
 from .quadrature import QuadratureSpec, chui_energy
 from .rng import substream
 
@@ -39,15 +43,13 @@ TWO_PI = 2.0 * math.pi
 # circle the chord 2 sin(gap/2) equals the angle gap to 4e-14 relative here
 _COLLISION_GAP = 1e-6
 
-_METHODS = ("auto", "nelder-mead-angles", "projected-pattern-search")
-
 
 @dataclass(frozen=True)
 class Iterate:
     config: ChargeConfiguration
     energy: float
     error: float
-    event: str  # "start", "improve", "merge" or "restart"
+    event: str  # "start", "improve" or "merge"; restarts are meta events
 
 
 @dataclass(frozen=True)
@@ -103,34 +105,18 @@ class _Run:
         self.best_energy = math.inf
         self.best_error = math.inf
 
-    def energy(self, config) -> float:
+    def energy(self, config):
         if self.evals >= self.budget:
             raise _BudgetExhausted
         self.evals += 1
         res = chui_energy(config, self.spec)
-        self._last = (config, res)
         if res.value < self.best_energy:
             self.best = config
             self.best_energy = res.value
             self.best_error = res.error
             if self.iterates:
                 self.iterates.append(Iterate(config, res.value, res.error, "improve"))
-        return res.value
-
-    def mark_start(self) -> None:
-        config, res = self._last
-        if not self.iterates:
-            self.iterates.append(Iterate(config, res.value, res.error, "start"))
-        else:
-            self.events.append({"type": "restart", "eval": self.evals})
-
-    def mark_merge(self) -> None:
-        config, res = self._last
-        self.events.append({"type": "merge", "eval": self.evals,
-                            "n_charges": config.n_charges})
-        last = self.iterates[-1]
-        if res.value <= last.energy + 2.0 * (last.error + res.error):
-            self.iterates.append(Iterate(config, res.value, res.error, "merge"))
+        return res
 
 
 def _angles_to_config(angles, weights) -> ChargeConfiguration:
@@ -138,103 +124,46 @@ def _angles_to_config(angles, weights) -> ChargeConfiguration:
     return ChargeConfiguration(pos, weights)
 
 
-def _nm_stage(run, angles, weights):
+def _nm_stage(run, angles, weights, _start_energy):
     """One Nelder-Mead descent over angles[1:], first angle pinned."""
-    n = len(angles)
-    run.energy(_angles_to_config(angles, weights))
     pinned = angles[0]
 
-    if n == 1:
-        return angles
     def objective(free):
-        return run.energy(_angles_to_config(np.concatenate([[pinned], free]), weights))
+        config = _angles_to_config(np.concatenate([[pinned], free]), weights)
+        return run.energy(config).value
 
-    remaining = run.budget - run.evals
-    if remaining <= 0:
-        raise _BudgetExhausted
     res = sp_optimize.minimize(
         objective, angles[1:], method="Nelder-Mead",
-        options={"maxfev": remaining, "xatol": 1e-6, "fatol": 1e-12,
-                 "adaptive": n > 5})
+        options={"maxfev": run.budget - run.evals, "xatol": 1e-6,
+                 "fatol": 1e-12, "adaptive": len(angles) > 5})
     if res.status != 0:
         # stopped on maxfev, not on the simplex tolerances
         raise _BudgetExhausted
     return np.concatenate([[pinned], np.atleast_1d(res.x)])
 
 
-def _minimize_2d(weights, seed, budget, spec) -> OptimizationTrace:
-    run = _Run(spec, budget)
-    gen = substream(seed, "optimize-starts", 2)
-    weights = np.asarray(weights, dtype=float)
-    start_cfg, _ = weighted_arc_config(weights)
-    starts = [(start_cfg.angles(), weights, "start")]
-
-    stop = "converged"
-    n_restarts = 3 if len(weights) > 1 else 0
-    try:
-        round_idx = 0
-        while starts:
-            angles, w, _ = starts.pop(0)
-            run.energy(_angles_to_config(angles, w))
-            run.mark_start()
-            angles = _nm_stage(run, angles, w)
-            first, merged_w = cluster_poles(
-                _angles_to_config(angles, w).positions, w, _COLLISION_GAP)
-            if first.size < len(w):
-                run.energy(_angles_to_config(angles[first], merged_w))
-                run.mark_merge()
-                starts.insert(0, (angles[first], merged_w, "restart"))
-                continue
-            # queue a fresh random start while budget comfortably remains
-            min_stage = max(60, 25 * (len(weights) - 1))
-            if (round_idx < n_restarts
-                    and run.budget - run.evals >= min_stage):
-                round_idx += 1
-                starts.append((np.sort(gen.uniform(-math.pi, math.pi, len(weights))),
-                               weights, "restart"))
-    except _BudgetExhausted:
-        stop = "budget"
-
-    return _finish(run, "nelder-mead-angles", seed, stop)
-
-
-def _sph_to_xyz(polar, azim):
-    s = np.sin(polar)
-    return np.column_stack([s * np.cos(azim), s * np.sin(azim), np.cos(polar)])
-
-
 def _pack_sphere(positions):
     """Spherical coordinates of points 1..n-1; azimuth of point 1 omitted."""
     polar = np.arccos(np.clip(positions[:, 2], -1.0, 1.0))
     azim = np.arctan2(positions[:, 1], positions[:, 0])
-    v = [polar[1]] if len(polar) > 1 else []
-    for k in range(2, len(polar)):
-        v.extend([polar[k], azim[k]])
-    return np.array(v), azim[1] if len(polar) > 1 else 0.0
+    pairs = np.column_stack([polar, azim])[1:].ravel()
+    return np.delete(pairs, 1), azim[1]
 
 
-def _unpack_sphere(v, n, base, azim1):
-    polar = np.empty(n)
-    azim = np.empty(n)
-    polar[0], azim[0] = base
-    if n > 1:
-        polar[1], azim[1] = v[0], azim1
-    for k in range(2, n):
-        polar[k] = v[2 * k - 3]
-        azim[k] = v[2 * k - 2]
+def _unpack_sphere(v, base, azim1):
+    """Points from `v`, point 0 at `base` (polar, azimuth), point 1 at azim1."""
+    pairs = np.concatenate([base, v[:1], [azim1], v[1:]])
+    polar, azim = pairs.reshape(-1, 2).T.copy()
     # projection: reflect polar back into [0, pi], wrap azimuth
     polar = np.abs(np.remainder(polar, TWO_PI))
     flip = polar > math.pi
     polar[flip] = TWO_PI - polar[flip]
-    return _sph_to_xyz(polar, azim)
+    s = np.sin(polar)
+    return np.column_stack([s * np.cos(azim), s * np.sin(azim), np.cos(polar)])
 
 
-def _pattern_stage(run, positions, weights):
+def _pattern_stage(run, positions, weights, best):
     """Coordinate-wise pattern search in spherical coordinates."""
-    n = len(positions)
-    best = run.energy(ChargeConfiguration(positions, weights))
-    if n == 1:
-        return positions
     v, azim1 = _pack_sphere(positions)
     polar0 = math.acos(np.clip(positions[0, 2], -1.0, 1.0))
     azim0 = math.atan2(positions[0, 1], positions[0, 0])
@@ -248,70 +177,39 @@ def _pattern_stage(run, positions, weights):
                 trial = v.copy()
                 trial[i] += s
                 val = run.energy(ChargeConfiguration(
-                    _unpack_sphere(trial, n, base, azim1), weights))
+                    _unpack_sphere(trial, base, azim1), weights)).value
                 if val < best:
                     best, v = val, trial
                     improved = True
                     break
         if not improved:
             step *= 0.5
-    return _unpack_sphere(v, n, base, azim1)
+    return _unpack_sphere(v, base, azim1)
 
 
-def _minimize_3d(weights, seed, budget, spec) -> OptimizationTrace:
-    run = _Run(spec, budget)
-    gen = substream(seed, "optimize-starts", 3)
-    weights = np.asarray(weights, dtype=float)
-    n = len(weights)
-    starts = [(fibonacci_sphere_config(n).positions, weights, "start")]
-
-    stop = "converged"
-    n_restarts = 2 if n > 1 else 0
-    try:
-        round_idx = 0
-        while starts:
-            pos, w, _ = starts.pop(0)
-            run.energy(ChargeConfiguration(pos, w))
-            run.mark_start()
-            pos = _pattern_stage(run, pos, w)
-            first, merged_w = cluster_poles(pos, w, _COLLISION_GAP)
-            if first.size < len(w):
-                run.energy(ChargeConfiguration(pos[first], merged_w))
-                run.mark_merge()
-                starts.insert(0, (pos[first], merged_w, "restart"))
-                continue
-            min_stage = max(80, 30 * (2 * n - 3 if n > 1 else 1))
-            if round_idx < n_restarts and run.budget - run.evals >= min_stage:
-                round_idx += 1
-                raw = gen.standard_normal((n, 3))
-                raw /= np.sqrt(np.sum(raw * raw, axis=1))[:, None]
-                starts.append((raw, weights, "restart"))
-    except _BudgetExhausted:
-        stop = "budget"
-
-    return _finish(run, "projected-pattern-search", seed, stop)
+# per dimension: the method name, the first start's coordinates (angles or
+# unit vectors), coordinates -> configuration, the local stage, the restart
+# draw, the restart count, and the stage floor and evals per free coordinate
+_SEARCHES = {
+    2: ("nelder-mead-angles", lambda w: weighted_arc_config(w)[0].angles(),
+        _angles_to_config, _nm_stage,
+        lambda gen, n: np.sort(gen.uniform(-math.pi, math.pi, n)), 3, 60, 25),
+    3: ("projected-pattern-search",
+        lambda w: fibonacci_sphere_config(len(w)).positions,
+        ChargeConfiguration, _pattern_stage,
+        lambda gen, n: _sphere_points(gen, n, 3), 2, 80, 30),
+}
 
 
-def _finish(run, method, seed, stop) -> OptimizationTrace:
-    return OptimizationTrace(
-        iterates=run.iterates,
-        best=run.best,
-        best_energy=run.best_energy,
-        best_error=run.best_error,
-        meta={"method": method, "seed": seed, "evaluations": run.evals,
-              "stop_reason": stop, "events": run.events},
-    )
-
-
-def minimize_positions(weights, d: int, method: str = "auto", seed: int = 0,
-                       budget: int = 1000,
+def minimize_positions(weights, d: int, seed: int = 0, budget: int = 1000,
                        spec: QuadratureSpec | None = None) -> OptimizationTrace:
     """Search for charge positions minimizing the energy at fixed weights.
 
-    Multistart local search: the arc-midpoint placement seeds the first
-    descent, then seeded random restarts run while the evaluation budget
-    (count of energy evaluations) comfortably allows. Colliding poles are
-    merged (weights add; the energy extends continuously) and the search
+    Multistart local search: the arc-midpoint placement (d = 2) or the
+    golden-angle lattice (d = 3) seeds the first descent, then seeded random
+    restarts run while the evaluation budget (count of energy evaluations)
+    comfortably allows; meta["method"] names the local stage. Colliding poles
+    are merged (weights add; the energy extends continuously) and the search
     continues on the reduced configuration with a recorded "merge" event.
     """
     weights = np.asarray(weights, dtype=float)
@@ -319,18 +217,58 @@ def minimize_positions(weights, d: int, method: str = "auto", seed: int = 0,
         raise ValueError("weights must be a nonempty positive sequence")
     if budget < 100:
         raise ValueError("budget must allow at least 100 energy evaluations")
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
-    if method == "nelder-mead-angles" and d != 2:
-        raise ValueError("nelder-mead-angles is the planar method")
-    if method == "projected-pattern-search" and d != 3:
-        raise ValueError("projected-pattern-search is the spherical method")
-    if d not in (2, 3):
+    if d not in _SEARCHES:
         raise ValueError("position optimization supports d in {2, 3}")
+    (method, start, to_config, stage, draw,
+     n_restarts, floor, per_free) = _SEARCHES[d]
     spec = spec or QuadratureSpec(rel_tolerance=1e-3, seed=seed)
-    if d == 2:
-        return _minimize_2d(weights, seed, budget, spec)
-    return _minimize_3d(weights, seed, budget, spec)
+    run = _Run(spec, budget)
+    gen = substream(seed, "optimize-starts", d)
+    n = len(weights)
+    n_restarts = n_restarts if n > 1 else 0
+    # a restart is queued only while a whole stage fits; gauge pinning
+    # leaves (d-1) n - d(d-1)/2 free coordinates
+    min_stage = max(floor, per_free * ((d - 1) * n - d * (d - 1) // 2))
+    starts = [(start(weights), weights)]
+
+    stop = "converged"
+    try:
+        while starts:
+            x, w = starts.pop(0)
+            config = to_config(x, w)
+            res = run.energy(config)
+            if run.iterates:
+                run.events.append({"type": "restart", "eval": run.evals})
+            else:
+                run.iterates.append(Iterate(config, res.value, res.error, "start"))
+            # evaluates the start a second time: dropping this duplicate
+            # changes every trace and evaluation count (see ROADMAP)
+            start_energy = run.energy(config).value
+            if len(w) > 1:
+                x = stage(run, x, w, start_energy)
+            first, merged_w = cluster_poles(to_config(x, w).positions, w,
+                                            _COLLISION_GAP)
+            if first.size < len(w):
+                x, w = x[first], merged_w
+                config = to_config(x, w)
+                res = run.energy(config)
+                run.events.append({"type": "merge", "eval": run.evals,
+                                   "n_charges": len(w)})
+                last = run.iterates[-1]
+                if res.value <= last.energy + 2.0 * (last.error + res.error):
+                    run.iterates.append(Iterate(config, res.value, res.error, "merge"))
+                starts.insert(0, (x, w))
+            elif n_restarts > 0 and run.budget - run.evals >= min_stage:
+                n_restarts -= 1
+                starts.append((draw(gen, n), weights))
+    except _BudgetExhausted:
+        stop = "budget"
+
+    return OptimizationTrace(
+        iterates=run.iterates, best=run.best, best_energy=run.best_energy,
+        best_error=run.best_error,
+        meta={"method": method, "seed": seed, "evaluations": run.evals,
+              "stop_reason": stop, "events": run.events})
 
 
 # ---------------------------------------------------------------------------

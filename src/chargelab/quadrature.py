@@ -61,7 +61,7 @@ TWO_PI = 2.0 * math.pi
 # cap on the d = 2 zone radii when the caller does not override pole_radius
 DEFAULT_POLE_RADIUS = 0.1
 
-_METHODS = ("auto", "adaptive", "rqmc", "mc")
+_METHODS = ("auto", "mc")
 
 
 def unit_ball_volume(d: int) -> float:
@@ -74,8 +74,8 @@ class QuadratureSpec:
     """Integration strategy and budget.
 
     method "auto" resolves by dimension: adaptive (d=2), rqmc (d=3),
-    mc (d>=4). "mc" may be forced in any dimension as a slow cross-check;
-    the structured methods are dimension-specific. pole_radius caps the
+    mc (d>=4). "mc" may be forced in any dimension as a slow cross-check.
+    QuadratureResult.method names the method that ran. pole_radius caps the
     d = 2 pole zones (energies, defects and two-pole integrals); the other
     dimensions have no zones and ignore it.
     """
@@ -97,12 +97,8 @@ class QuadratureSpec:
             raise ValueError("pole_radius must be positive")
 
     def resolved_method(self, dimension: int) -> str:
-        if self.method == "adaptive" and dimension != 2:
-            raise ValueError("adaptive disc quadrature requires dimension 2")
-        if self.method == "rqmc" and dimension != 3:
-            raise ValueError("rqmc quadrature requires dimension 3")
-        if self.method != "auto":
-            return self.method
+        if self.method == "mc":
+            return "mc"
         if dimension == 2:
             return "adaptive"
         if dimension == 3:

@@ -126,6 +126,18 @@ class TestParseErrors:
     def test_unknown_command(self, capsys):
         assert _run(capsys, "frobnicate")[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("lemma-suite", "--trials", "10"),
+        ("optimize", "--weights", "1,1", "--budget", "100"),
+        ("verify-all",),
+    ], ids=["lemma-suite", "optimize", "verify-all"])
+    def test_csv_rejected_by_json_only_commands(self, capsys, argv):
+        # these commands have no table to write, so --format is not an option
+        code, out, err = _run(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
+
     def test_optimize_low_budget(self, capsys):
         assert _run(capsys, "optimize", "--weights", "1,1",
                     "--budget", "50")[0] == 2

@@ -8,8 +8,10 @@ import pytest
 from chargelab import (ChargeConfiguration, QuadratureSpec,
                        local_min_certificate, minimize_positions,
                        uniform_circle_config)
+from chargelab import optimize
 from chargelab.configurations import cluster_poles
 from chargelab.optimize import _COLLISION_GAP, _angles_to_config
+from chargelab.quadrature import QuadratureResult
 
 from _oracles import FROZEN_UNIFORM_ENERGY, grid_min_gap_energy
 
@@ -62,10 +64,6 @@ class TestMinimize2d:
 
     def test_method_dimension_pairing(self):
         with pytest.raises(ValueError):
-            minimize_positions(np.ones(2), 3, method="nelder-mead-angles")
-        with pytest.raises(ValueError):
-            minimize_positions(np.ones(2), 2, method="projected-pattern-search")
-        with pytest.raises(ValueError):
             minimize_positions(np.ones(2), 4)
 
     def test_bitwise_reproducible(self):
@@ -102,6 +100,68 @@ class TestMinimize3d:
         b = minimize_positions(np.ones(3), 3, seed=2, budget=150)
         assert a.best_energy == b.best_energy
         assert np.array_equal(a.best.positions, b.best.positions)
+
+
+def _restart(at):
+    return {"type": "restart", "eval": at}
+
+
+def _merge(at):
+    return {"type": "merge", "eval": at, "n_charges": 1}
+
+
+def _attractive_energy(config, spec):
+    """1 + the sum of pairwise chord distances: collisions lower it."""
+    p = config.positions
+    value = 1.0 + sum(float(np.linalg.norm(p[i] - p[j]))
+                      for i in range(len(p)) for j in range(i + 1, len(p)))
+    return QuadratureResult(value, 1e-6, 1, True, "adaptive")
+
+
+class TestOptimizerPins:
+    """Exact runs of the multistart loop.
+
+    Any change to the start queue, the stages, the restart draws or the
+    merge bookkeeping moves one of these.
+    """
+
+    @pytest.mark.parametrize("weights, d, seed, budget, meta, n_improve, best", [
+        ([1, 1, 1], 2, 1, 150,
+         {"evaluations": 138, "stop_reason": "converged",
+          "events": [_restart(42)]}, 0, "0x1.6bcbed45bdee6p+2"),
+        ([1, 1, 1, 1], 2, 0, 100,
+         {"evaluations": 100, "stop_reason": "budget", "events": []},
+         0, "0x1.80fcb438f87b9p+2"),
+        ([1, 1], 3, 0, 120,
+         {"evaluations": 73, "stop_reason": "converged",
+          "events": [_restart(37)]}, 13, "0x1.4abac6523e4c6p+3"),
+        ([1, 1, 1], 3, 2, 150,
+         {"evaluations": 135, "stop_reason": "converged", "events": []},
+         20, "0x1.b38fa55b78ae4p+3"),
+    ], ids=["d2_triple", "d2_budget_stop", "d3_pair", "d3_triple"])
+    def test_real_energy_runs(self, weights, d, seed, budget, meta, n_improve,
+                              best):
+        trace = minimize_positions(weights, d, seed=seed, budget=budget)
+        method = "nelder-mead-angles" if d == 2 else "projected-pattern-search"
+        assert trace.meta == {"method": method, "seed": seed, **meta}
+        assert [it.event for it in trace.iterates] == (
+            ["start"] + ["improve"] * n_improve)
+        assert trace.best_energy.hex() == best
+
+    def test_merge_run(self, monkeypatch):
+        # no real-energy run collides, so an attractive surrogate drives
+        # the pair together; each merge restarts the loop on one pole
+        monkeypatch.setattr(optimize, "chui_energy", _attractive_energy)
+        trace = minimize_positions([1, 2], 2, seed=1, budget=300)
+        assert trace.meta == {
+            "method": "nelder-mead-angles", "seed": 1, "evaluations": 279,
+            "stop_reason": "converged",
+            "events": [_merge(97), _restart(98), _restart(100),
+                       _merge(186), _restart(187), _restart(189),
+                       _merge(277), _restart(278)]}
+        assert [it.event for it in trace.iterates] == (
+            ["start"] + ["improve"] * 14 + ["merge"] * 3)
+        assert trace.best_energy.hex() == "0x1.0000000000000p+0"
 
 
 class TestTraceFile:
