@@ -25,6 +25,12 @@ pairs, so their arrays stay in a core's cache.
 The d = 3 RQMC bulk and the d >= 4 Monte Carlo differ only in how a
 replicate draws its points: both run `_replicated_mean`, which owns the
 sums, the estimate, its standard error and the tolerance and budget stops.
+The RQMC bulk's first round (8 replicates x 4096 ball points) depends only
+on the spec seed and ends most calls, so `_first_round` caches it per seed:
+read-only arrays, about 0.8 MB per seed, for at most _FIRST_ROUND_SEEDS
+seeds. Later rounds draw from fresh engines fast-forwarded past the first
+round, so calls share no mutable state and every result is bit-identical
+to drawing each round anew.
 
 Determinism contract: identical inputs (including the seed) give
 bit-identical results regardless of machine load or thread count. All
@@ -35,6 +41,7 @@ counter-based substreams keyed by purpose tags.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -62,6 +69,15 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_POLE_RADIUS = 0.1
 
 _METHODS = ("auto", "mc")
+
+# d = 3 RQMC bulk: replicates, first-round points per replicate, and how
+# many spec seeds keep their first round cached (3 x 4096 doubles per
+# replicate, about 0.8 MB per seed)
+_RQMC_REPS = 8
+_RQMC_FIRST = 4096
+_FIRST_ROUND_SEEDS = 8
+# Sobol rows mapped into the ball at a time
+_MAP_ROWS = 4096
 
 
 def unit_ball_volume(d: int) -> float:
@@ -425,34 +441,68 @@ def _replicated_mean(sample, n_rep, draw, doubling, volume, budget, target):
         rnd += 1
 
 
-def _rqmc_bulk(h, spec, budget, target_fn):
-    """Scrambled-Sobol mean of a ball integrand, 8 replicates, doubled rounds.
-
-    target_fn maps the current bulk estimate to the absolute sigma target;
-    returns (estimate, sigma, evals, converged).
-    """
+def _sobol(seed, rep):
+    """Scrambled Sobol engine of one replicate of the d = 3 RQMC bulk."""
     # scipy.stats costs about a second to import; only this path needs it
     from scipy.stats import qmc
 
-    engines = [
-        qmc.Sobol(d=3, scramble=True,
-                  seed=derive_key(spec.seed, "rqmc-bulk", rep))
-        for rep in range(8)
-    ]
+    return qmc.Sobol(d=3, scramble=True,
+                     seed=derive_key(seed, "rqmc-bulk", rep))
+
+
+def _ball_points(u):
+    """Component-major (3, m) unit-ball points from Sobol points in [0,1)^3.
+
+    The map (cube-root radius, uniform cosine, uniform azimuth) runs on
+    _MAP_ROWS rows at a time, so its temporaries stay in a core's cache.
+    """
+    out = np.empty((3, u.shape[0]))
+    for lo in range(0, u.shape[0], _MAP_ROWS):
+        rows = slice(lo, lo + _MAP_ROWS)
+        radius = u[rows, 0] ** (1.0 / 3.0)
+        mu = 2.0 * u[rows, 1] - 1.0
+        beta = TWO_PI * u[rows, 2]
+        rs = radius * np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
+        np.multiply(rs, np.cos(beta), out=out[0, rows])
+        np.multiply(rs, np.sin(beta), out=out[1, rows])
+        np.multiply(radius, mu, out=out[2, rows])
+    return out
+
+
+@functools.lru_cache(maxsize=_FIRST_ROUND_SEEDS)
+def _first_round(seed):
+    """Read-only first-round ball points of every replicate for one seed."""
+    points = []
+    for rep in range(_RQMC_REPS):
+        pts = _ball_points(_sobol(seed, rep).random(_RQMC_FIRST))
+        pts.flags.writeable = False
+        points.append(pts)
+    return tuple(points)
+
+
+def _rqmc_bulk(h, spec, budget, target_fn):
+    """Scrambled-Sobol mean of a ball integrand, 8 replicates, doubled rounds.
+
+    The first round's points depend only on the spec seed and come from the
+    `_first_round` cache (read-only, per seed, first round only). A later
+    round builds the replicate's engine afresh, fast-forwarded past the
+    first round, and keeps it for the rest of the call; engines are never
+    shared between calls. Each round's points are drawn and summed whole,
+    so results match drawing every round from one engine. target_fn maps the
+    current bulk estimate to the absolute sigma target; returns (estimate,
+    sigma, evals, converged).
+    """
+    first = _first_round(int(spec.seed))
+    engines = {}
 
     def sample(rep, rnd, m):
-        u = engines[rep].random(m)
-        radius = u[:, 0] ** (1.0 / 3.0)
-        mu = 2.0 * u[:, 1] - 1.0
-        beta = TWO_PI * u[:, 2]
-        sl = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-        # built component-major, as the residual kernel reads it
-        cols = np.stack([radius * sl * np.cos(beta),
-                         radius * sl * np.sin(beta),
-                         radius * mu])
-        return np.sum(h(cols.T))
+        if rnd == 0:
+            return np.sum(h(first[rep].T))
+        if rep not in engines:
+            engines[rep] = _sobol(spec.seed, rep).fast_forward(_RQMC_FIRST)
+        return np.sum(h(_ball_points(engines[rep].random(m)).T))
 
-    return _replicated_mean(sample, len(engines), 4096, True,
+    return _replicated_mean(sample, _RQMC_REPS, _RQMC_FIRST, True,
                             unit_ball_volume(3), budget, target_fn)
 
 

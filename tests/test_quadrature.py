@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ from chargelab import (ChargeConfiguration, QuadratureSpec, chui_energy,
                        fibonacci_sphere_config, l1_defect, merge_configs,
                        random_config, two_pole_l1, uniform_circle_config,
                        unit_ball_volume)
-from chargelab.quadrature import (DEFAULT_POLE_RADIUS, _cutoff,
+from chargelab.quadrature import (_FIRST_ROUND_SEEDS, DEFAULT_POLE_RADIUS,
+                                  _cutoff, _first_round,
                                   _nearest_neighbor_dists, _residual_3d)
 
 from _oracles import (FROZEN_COAXIAL_PAIR_3D, FROZEN_SINGLE_2D,
@@ -574,9 +576,94 @@ class TestStochasticPins:
         assert (res.value.hex(), res.error.hex(), res.evals,
                 res.converged) == (value, error, evals, converged)
 
+def _pinned(case):
+    run, value, error, evals, converged = TestStochasticPins.CASES[case]
+    return (value, error, evals, converged)
+
+
+def _result_bits(res):
+    return (res.value.hex(), res.error.hex(), res.evals, res.converged)
+
+
+def _single3(seed):
+    res = chui_energy(_single(0.5, 3), QuadratureSpec(seed=seed))
+    return _result_bits(res)
+
+
+class TestFirstRoundCache:
+    """The cached first RQMC round gives the pinned bits however the cache
+    is filled, evicted or shared."""
+
+    def test_same_seed_twice(self):
+        _first_round.cache_clear()
+        assert _single3(7) == _pinned("single3_0.5")
+        assert _first_round.cache_info().hits == 0
+        assert _single3(7) == _pinned("single3_0.5")
+        assert _first_round.cache_info().hits == 1
+
+    def test_interleaved_seeds(self):
+        _first_round.cache_clear()
+        cold8 = _single3(8)
+        _first_round.cache_clear()
+        assert _single3(7) == _pinned("single3_0.5")
+        assert _single3(8) == cold8
+        assert _single3(7) == _pinned("single3_0.5")
+        assert _first_round.cache_info().currsize == 2
+
+    def test_more_seeds_than_bound(self):
+        _first_round.cache_clear()
+        assert _single3(7) == _pinned("single3_0.5")
+        for seed in range(100, 101 + _FIRST_ROUND_SEEDS):
+            _single3(seed)
+            assert _first_round.cache_info().currsize <= _FIRST_ROUND_SEEDS
+        # seed 7 was evicted, so this call refills it
+        misses = _first_round.cache_info().misses
+        assert _single3(7) == _pinned("single3_0.5")
+        assert _first_round.cache_info().misses == misses + 1
+        assert _first_round.cache_info().currsize == _FIRST_ROUND_SEEDS
+
+    def test_points_read_only(self):
+        points = _first_round(7)
+        assert len(points) == 8
+        for pts in points:
+            assert pts.shape == (3, 4096)
+            assert not pts.flags.writeable
+            with pytest.raises(ValueError):
+                pts[0, 0] = 0.0
+
+    def test_threads_share_seed(self):
+        # one multi-round call and one first-round-only call on one seed,
+        # started together on an empty cache
+        _first_round.cache_clear()
+        cases = ("budget3_pair", "single3_0.5")
+        got = {}
+        start = threading.Barrier(len(cases))
+
+        def work(case):
+            start.wait()
+            got[case] = _result_bits(TestStochasticPins.CASES[case][0]())
+
+        threads = [threading.Thread(target=work, args=(c,)) for c in cases]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert got == {c: _pinned(c) for c in cases}
+
+    def test_later_rounds_keep_sobol_balance(self):
+        # a later round fast-forwards past the first, so every draw ends on
+        # a power of two and scipy raises no balance warning
+        _first_round.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = TestStochasticPins.CASES["budget3_pair"][0]()
+        assert _result_bits(res) == _pinned("budget3_pair")
+
+
 def test_import_defers_scipy_stats():
     # scipy.stats (about a second to import) is only needed by the d=3 RQMC
-    # bulk, so importing chargelab must not load it
+    # bulk, so importing chargelab must not load it, and the bulk's
+    # first-round cache fills on the first call, not at import
     src = os.path.dirname(os.path.dirname(chargelab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -584,10 +671,13 @@ def test_import_defers_scipy_stats():
     code = (
         "import sys\n"
         "import chargelab\n"
+        "cache = chargelab.quadrature._first_round\n"
         "assert 'scipy.stats' not in sys.modules\n"
+        "assert cache.cache_info().currsize == 0\n"
         "cfg = chargelab.ChargeConfiguration([[0.0, 0.0, 0.5]], [1.0])\n"
         "res = chargelab.chui_energy(cfg)\n"
         "assert res.method == 'rqmc' and res.converged\n"
+        "assert cache.cache_info().currsize == 1\n"
         "print(repr(res.value), repr(res.error))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env,
