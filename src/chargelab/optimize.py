@@ -8,7 +8,8 @@ optimization machinery is needed at this scale.
 Rotation invariance makes the raw objective flat along a d(d-1)/2 manifold;
 the flat directions are removed by gauge pinning. In the plane the first
 charge's angle stays at its initial value; on the 2-sphere the first charge
-is fixed entirely and the second keeps its initial azimuth.
+is fixed entirely and the second keeps its initial azimuth about the first
+(it moves on the great semicircle from the first charge to its antipode).
 
 One multistart loop serves d = 2 and d = 3; a per-dimension table gives it
 the first start, the coordinate map, the local stage and the restart draw.
@@ -142,32 +143,46 @@ def _nm_stage(run, angles, weights, _start_energy):
     return np.concatenate([[pinned], np.atleast_1d(res.x)])
 
 
-def _pack_sphere(positions):
-    """Spherical coordinates of points 1..n-1; azimuth of point 1 omitted."""
-    polar = np.arccos(np.clip(positions[:, 2], -1.0, 1.0))
-    azim = np.arctan2(positions[:, 1], positions[:, 0])
+def _pole_frame(p0):
+    """Householder reflection H (symmetric, its own inverse), H p0 = e_z."""
+    v = p0 - np.array([0.0, 0.0, 1.0])
+    vv = np.dot(v, v)
+    if vv == 0.0:
+        return np.eye(3)
+    return np.eye(3) - (2.0 / vv) * np.outer(v, v)
+
+
+def _pack_sphere(positions, frame):
+    """Spherical coordinates of points 1..n-1 in `frame`, which puts point 0
+    at the pole; the azimuth of point 1 (about point 0) is omitted."""
+    q = positions @ frame
+    polar = np.arccos(np.clip(q[:, 2], -1.0, 1.0))
+    azim = np.arctan2(q[:, 1], q[:, 0])
     pairs = np.column_stack([polar, azim])[1:].ravel()
     return np.delete(pairs, 1), azim[1]
 
 
-def _unpack_sphere(v, base, azim1):
-    """Points from `v`, point 0 at `base` (polar, azimuth), point 1 at azim1."""
-    pairs = np.concatenate([base, v[:1], [azim1], v[1:]])
+def _unpack_sphere(v, frame, azim1):
+    """Points from `v`, point 0 at the pole of `frame`, point 1 at azim1."""
+    pairs = np.concatenate([[0.0, 0.0], v[:1], [azim1], v[1:]])
     polar, azim = pairs.reshape(-1, 2).T.copy()
     # projection: reflect polar back into [0, pi], wrap azimuth
     polar = np.abs(np.remainder(polar, TWO_PI))
     flip = polar > math.pi
     polar[flip] = TWO_PI - polar[flip]
     s = np.sin(polar)
-    return np.column_stack([s * np.cos(azim), s * np.sin(azim), np.cos(polar)])
+    q = np.column_stack([s * np.cos(azim), s * np.sin(azim), np.cos(polar)])
+    return q @ frame
 
 
 def _pattern_stage(run, positions, weights, best):
-    """Coordinate-wise pattern search in spherical coordinates."""
-    v, azim1 = _pack_sphere(positions)
-    polar0 = math.acos(np.clip(positions[0, 2], -1.0, 1.0))
-    azim0 = math.atan2(positions[0, 1], positions[0, 0])
-    base = (polar0, azim0)
+    """Coordinate-wise pattern search in spherical coordinates about point 0.
+
+    Point 1 keeps its azimuth about point 0, so it moves on the great
+    semicircle from point 0 through its start to the antipode of point 0.
+    """
+    frame = _pole_frame(positions[0])
+    v, azim1 = _pack_sphere(positions, frame)
 
     step = 0.4
     while step >= 1e-4:
@@ -177,14 +192,14 @@ def _pattern_stage(run, positions, weights, best):
                 trial = v.copy()
                 trial[i] += s
                 val = run.energy(ChargeConfiguration(
-                    _unpack_sphere(trial, base, azim1), weights)).value
+                    _unpack_sphere(trial, frame, azim1), weights)).value
                 if val < best:
                     best, v = val, trial
                     improved = True
                     break
         if not improved:
             step *= 0.5
-    return _unpack_sphere(v, base, azim1)
+    return _unpack_sphere(v, frame, azim1)
 
 
 # per dimension: the method name, the first start's coordinates (angles or

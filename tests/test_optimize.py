@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chargelab import (ChargeConfiguration, QuadratureSpec,
+from chargelab import (ChargeConfiguration, QuadratureSpec, chui_energy,
                        local_min_certificate, minimize_positions,
                        uniform_circle_config)
 from chargelab import optimize
@@ -133,11 +133,11 @@ class TestOptimizerPins:
          {"evaluations": 100, "stop_reason": "budget", "events": []},
          0, "0x1.80fcb438f87b9p+2"),
         ([1, 1], 3, 0, 120,
-         {"evaluations": 73, "stop_reason": "converged",
-          "events": [_restart(37)]}, 13, "0x1.4abac6523e4c6p+3"),
+         {"evaluations": 75, "stop_reason": "converged",
+          "events": [_restart(38)]}, 15, "0x1.48c4b12aef37bp+3"),
         ([1, 1, 1], 3, 2, 150,
-         {"evaluations": 135, "stop_reason": "converged", "events": []},
-         20, "0x1.b38fa55b78ae4p+3"),
+         {"evaluations": 138, "stop_reason": "converged", "events": []},
+         17, "0x1.b38cb1feeec68p+3"),
     ], ids=["d2_triple", "d2_budget_stop", "d3_pair", "d3_triple"])
     def test_real_energy_runs(self, weights, d, seed, budget, meta, n_improve,
                               best):
@@ -162,6 +162,19 @@ class TestOptimizerPins:
         assert [it.event for it in trace.iterates] == (
             ["start"] + ["improve"] * 14 + ["merge"] * 3)
         assert trace.best_energy.hex() == "0x1.0000000000000p+0"
+
+
+def test_sphere_pair_reaches_antipodes():
+    # the second charge's pinned azimuth is measured about the first charge,
+    # so its free polar angle spans the great semicircle to the antipode
+    trace = minimize_positions([1, 1], 3, seed=0, budget=1000)
+    p = trace.best.positions
+    sep = math.degrees(math.acos(np.clip(np.dot(p[0], p[1]), -1.0, 1.0)))
+    assert sep > 178.0
+    anti = chui_energy(ChargeConfiguration([p[0], -p[0]], [1.0, 1.0]),
+                       QuadratureSpec(rel_tolerance=1e-3, seed=0))
+    assert abs(trace.best_energy - anti.value) <= 3.0 * (trace.best_error
+                                                         + anti.error)
 
 
 class TestTraceFile:
