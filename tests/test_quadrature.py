@@ -632,10 +632,12 @@ class TestFirstRoundCache:
                 pts[0, 0] = 0.0
 
     def test_threads_share_seed(self):
-        # one multi-round call and one first-round-only call on one seed,
-        # started together on an empty cache
+        # multi-round and first-round-only calls on one seed, more threads
+        # than cores, started together on an empty cache with frequent
+        # thread switches
         _first_round.cache_clear()
-        cases = ("budget3_pair", "single3_0.5")
+        cases = ("budget3_pair", "single3_0.5", "interior3_4",
+                 "zones3_mixed")
         got = {}
         start = threading.Barrier(len(cases))
 
@@ -644,10 +646,16 @@ class TestFirstRoundCache:
             got[case] = _result_bits(TestStochasticPins.CASES[case][0]())
 
         threads = [threading.Thread(target=work, args=(c,)) for c in cases]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
         assert got == {c: _pinned(c) for c in cases}
 
     def test_later_rounds_keep_sobol_balance(self):
