@@ -44,7 +44,8 @@ import math
 
 import numpy as np
 
-from .configurations import ArcPartition, ChargeConfiguration, _sphere_points
+from .configurations import (ArcPartition, ChargeConfiguration, _ball_samples,
+                             _sphere_points)
 from .quadrature import (QuadratureResult, QuadratureSpec, chui_energy,
                          l1_defect, unit_ball_volume)
 from .rng import substream
@@ -75,6 +76,9 @@ NEWMAN_CONSTANT = math.pi / 18.0
 
 # slack for closed-ball membership decisions on sampled points
 _MEMBERSHIP_TOL = 1e-12
+
+# the dominance suite draws configurations of 1 to this many charges
+_DOMINANCE_N_MAX = 8
 
 
 def proof_constant(d: int, conservative: bool = False) -> float:
@@ -494,17 +498,11 @@ def make_bound_report(config: ChargeConfiguration,
 # randomized property suites (vectorized)
 # ---------------------------------------------------------------------------
 
-def _ball_points(gen, m, d, shrink=1.0 - 1e-9):
-    u = _sphere_points(gen, m, d)
-    radii = gen.random(m) ** (1.0 / d) * shrink
-    return u * radii[:, None]
-
-
 def run_poisson_suite(trials: int, d: int, seed: int) -> float:
     """Min observed poisson_gap over random (sphere point, ball point) pairs."""
     gen = substream(seed, "suite-poisson", d)
     y = _sphere_points(gen, trials, d)
-    x = _ball_points(gen, trials, d)
+    x = _ball_samples(gen, trials, d, shrink=1.0 - 1e-9)
     return float(np.min(poisson_gap(y, x, d)))
 
 
@@ -513,7 +511,7 @@ def run_tangent_suite(trials: int, d: int, seed: int) -> float:
     gen = substream(seed, "suite-tangent", d)
     y = _sphere_points(gen, trials, d)
     r = gen.uniform(0.005, 0.499, trials)
-    offs = _ball_points(gen, trials, d, shrink=1.0 - 1e-12)
+    offs = _ball_samples(gen, trials, d, shrink=1.0 - 1e-12)
     x = (1.0 - r)[:, None] * y + r[:, None] * offs
     return float(np.min(tangent_ball_gap(y, r, x, d)))
 
@@ -533,7 +531,7 @@ def run_ratio_suite(trials: int, d: int, seed: int) -> float:
         y2 = _sphere_points(gen, m, d)
         r1 = gen.uniform(0.005, 0.49, m)
         r2 = gen.uniform(0.005, 0.49, m)
-        offs = _ball_points(gen, m, d, shrink=1.0 - 1e-12)
+        offs = _ball_samples(gen, m, d, shrink=1.0 - 1e-12)
         x = (1.0 - r1)[:, None] * y1 + r1[:, None] * offs
         keep = _tangent_form(x, y2, r2) >= -_MEMBERSHIP_TOL
         if np.any(keep):
@@ -544,19 +542,18 @@ def run_ratio_suite(trials: int, d: int, seed: int) -> float:
     return worst
 
 
-def run_dominance_suite(trials: int, d: int, seed: int,
-                        n_max: int = 8) -> tuple[int, float]:
+def run_dominance_suite(trials: int, d: int, seed: int) -> tuple[int, float]:
     """(failure count, min margin) of dominance_check over random setups.
 
-    Batched by charge count: for each n up to n_max, draws random boundary
-    configurations with log-uniform weights and a sample point inside a
-    designated tangent ball, then verifies the selected-charge inequality
-    and the summed comparison it implies.
+    Batched by charge count: for each n up to _DOMINANCE_N_MAX, draws random
+    boundary configurations with log-uniform weights and a sample point
+    inside a designated tangent ball, then verifies the selected-charge
+    inequality and the summed comparison it implies.
     """
-    per_n = -(-trials // n_max)  # ceil
+    per_n = -(-trials // _DOMINANCE_N_MAX)  # ceil
     failures = 0
     worst = np.inf
-    for n in range(1, n_max + 1):
+    for n in range(1, _DOMINANCE_N_MAX + 1):
         gen = substream(seed, "suite-dominance", d, n)
         pos = _sphere_points(gen, per_n * n, d).reshape(per_n, n, d)
         w = np.exp(gen.uniform(np.log(0.1), np.log(10.0), (per_n, n)))
@@ -564,7 +561,7 @@ def run_dominance_suite(trials: int, d: int, seed: int,
         centers = (1.0 - radii)[:, :, None] * pos
         target = gen.integers(0, n, per_n)
         rows = np.arange(per_n)
-        offs = _ball_points(gen, per_n, d, shrink=1.0 - 1e-9)
+        offs = _ball_samples(gen, per_n, d, shrink=1.0 - 1e-9)
         x = (centers[rows, target]
              + radii[rows, target][:, None] * offs)
 

@@ -411,17 +411,13 @@ def _cmd_verify_all(args) -> int:
 
     # single-charge oracles, both dimensions
     log("[verify-all] single-charge oracles")
-    e2 = chui_energy(ChargeConfiguration([[1.0, 0.0]], [1.0]), spec)
-    all_ok &= _check(checks, "oracle:single-d2", abs(e2.value - 4.0) <= 4.0 * 1e-2,
-                     {"energy": e2.value, "expected": 4.0})
-    e3 = chui_energy(ChargeConfiguration([[0.0, 0.0, 1.0]], [1.0]), spec)
-    all_ok &= _check(checks, "oracle:single-d3",
-                     abs(e3.value - TWO_PI) <= TWO_PI * 1e-2,
-                     {"energy": e3.value, "expected": TWO_PI})
-    origin = chui_energy(ChargeConfiguration([[0.0, 0.0]], [1.0]), spec)
-    all_ok &= _check(checks, "oracle:interior-origin",
-                     abs(origin.value - TWO_PI) <= TWO_PI * 1e-2,
-                     {"energy": origin.value, "expected": TWO_PI})
+    for name, position, expected in (("single-d2", [1.0, 0.0], 4.0),
+                                     ("single-d3", [0.0, 0.0, 1.0], TWO_PI),
+                                     ("interior-origin", [0.0, 0.0], TWO_PI)):
+        energy = chui_energy(ChargeConfiguration([position], [1.0]), spec).value
+        all_ok &= _check(checks, f"oracle:{name}",
+                         abs(energy - expected) <= expected * 1e-2,
+                         {"energy": energy, "expected": expected})
 
     # defect sweep: finite ratios, no blow-up at small arc lengths
     log("[verify-all] defect sweep")

@@ -243,6 +243,14 @@ def _sphere_points(gen, m, d):
     return v / np.sqrt(np.sum(v * v, axis=1))[:, None]
 
 
+def _ball_samples(gen, m, d, shrink=1.0):
+    """m points uniform in B^d: `_sphere_points` directions times radii
+    U^(1/d), scaled by `shrink` (exact at 1.0) to stay off the sphere."""
+    u = _sphere_points(gen, m, d)
+    radii = gen.random(m) ** (1.0 / d) * shrink
+    return u * radii[:, None]
+
+
 def random_config(n: int, d: int, seed: int, interior: bool = False) -> ChargeConfiguration:
     """n unit-weight charges placed uniformly on S^{d-1} (or in B^d).
 
@@ -253,14 +261,7 @@ def random_config(n: int, d: int, seed: int, interior: bool = False) -> ChargeCo
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
     gen = substream(seed, "random_config", n, d, bool(interior))
-    raw = gen.standard_normal((n, d))
-    norms = np.sqrt(np.sum(raw * raw, axis=1))
-    # probability of a degenerate draw is zero; regenerate defensively anyway
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        raw[bad] = gen.standard_normal((int(bad.sum()), d))
-        norms = np.sqrt(np.sum(raw * raw, axis=1))
-    pos = raw / norms[:, None]
+    pos = _sphere_points(gen, n, d)
     if interior:
         radii = gen.random(n) ** (1.0 / d)
         # keep interior points strictly off the boundary snap band

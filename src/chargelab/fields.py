@@ -163,13 +163,15 @@ def _cauchy_abs_batch(poles, weights, z):
     return out
 
 
-# The d >= 3 kernels work component-major: for a chunk of points x_j they
-# build diff[c, k, j] = x_k[c] - x_j[c], one (poles x points) array per
-# component, and r2[k, j] = |x_k - x_j|^2 once, accumulated component by
-# component. Every consumer of r2 (the field below, the d = 3 surrogate and
-# on-pole guard in quadrature.py) reads the same array, and each reduction
-# runs over poles (or components) in index order, so a point's value depends
-# neither on the chunking nor on how many points share its call.
+# The d >= 3 kernels, and the Monte Carlo path in any dimension, work
+# component-major: for a chunk of points x_j they build
+# diff[c, k, j] = x_k[c] - x_j[c], one (poles x points) array per component,
+# and r2[k, j] = |x_k - x_j|^2 once, accumulated component by component.
+# Every consumer of r2 (the field below; in quadrature.py the d = 3
+# surrogate, the Monte Carlo importance density and both on-pole guards)
+# reads the same array, and each reduction runs over poles (or components)
+# in index order, so a point's value depends neither on the chunking nor on
+# how many points share its call.
 
 def _offsets(positions, pts):
     """Component-major pole offsets (d, poles, points) and their r^2."""
@@ -209,15 +211,6 @@ def _field_mag(diff, r2, weights, d):
         v = _pole_sum(comp)
         mag2 += v * v
     return np.sqrt(mag2, out=mag2)
-
-
-def _field_mag_batch(positions, weights, pts, d):
-    """|sum_k w_k (x_k - x)/|x_k - x|^d| for pts of shape (m, d), chunked."""
-    out = np.empty(pts.shape[0])
-    for sl in _chunks(pts.shape[0], positions.shape[0], _CACHE_PAIRS):
-        diff, r2 = _offsets(positions, pts[sl])
-        out[sl] = _field_mag(diff, r2, weights, d)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ at the charge locations. Each dimension handles them its own way:
   * d = 3: a singular surrogate |w_k| c(r)/r^2 per pole is integrated
     exactly, and randomized quasi-Monte Carlo integrates the bounded
     residual (field magnitude minus the surrogate) over the whole ball.
-  * d >= 4: plain importance-sampled Monte Carlo (accuracy degraded and
-    flagged).
+  * d >= 4 (or "mc" forced): Monte Carlo sampling half the ball, half near
+    the poles (accuracy degraded and flagged).
 
-The d = 3 residual is one kernel, `_residual_3d`. It works on chunks of
-points in the component-major layout of fields.py: per chunk it builds the
-(poles x points) offsets, forms r^2 once, and reads that one array for the
-field sum and the surrogate's cutoff. Chunks hold at most 2^15 pole-point
-pairs, so their arrays stay in a core's cache.
+The sampled integrands are two kernels, `_residual_3d` (d = 3) and
+`_importance_ratio` (Monte Carlo). Per chunk of points they build the
+component-major offsets of fields.py, form r^2 once, and read it for the
+field, the on-pole test and the surrogate or the sampling density. Chunks
+hold at most 2^15 pole-point pairs, so their arrays stay in a core's cache.
 
 The d = 3 RQMC bulk and the d >= 4 Monte Carlo differ only in how a
 replicate draws its points: both run `_replicated_mean`, which owns the
@@ -47,11 +47,11 @@ import math
 import numpy as np
 
 from ._cubature import Region, integrate_1d, integrate_regions
-from .configurations import (BOUNDARY_SNAP, ChargeConfiguration, _on_sphere,
+from .configurations import (BOUNDARY_SNAP, ChargeConfiguration,
+                             _ball_samples, _on_sphere, _sphere_points,
                              merge_coincident)
 from .fields import (_CACHE_PAIRS, _cauchy_abs_batch, _chunks, _field_mag,
-                     _field_mag_batch, _offsets, _pole_sum,
-                     averaged_kernel_batch)
+                     _offsets, _pole_sum, averaged_kernel_batch)
 from .rng import derive_key, substream
 
 __all__ = [
@@ -533,52 +533,57 @@ def _energy_rqmc_3d(config, spec):
 
 
 # ---------------------------------------------------------------------------
-# d >= 4 (or forced): plain Monte Carlo with pole importance sampling
+# d >= 4 (or forced): Monte Carlo with pole importance sampling
 # ---------------------------------------------------------------------------
+
+# half the samples are uniform in the ball, half at a uniform radius below
+# _MC_RHO around a uniformly chosen pole
+_MC_RHO = 0.5
+
+
+def _importance_ratio(positions, weights, pts):
+    """Field magnitude over the sampling density at pts of shape (m, d).
+
+    The density is 1/(2 |B^d|) in the ball plus, per pole within _MC_RHO,
+    1/(2n rho |S^{d-1}| r^(d-1)). Per chunk, r from the component-major r^2
+    (see fields.py) feeds the on-pole test, the density and the field. A
+    point outside the ball or within 1e-13 of a pole gives exactly 0.0, and
+    the floating point warnings of such points are silenced.
+    """
+    n, d = positions.shape
+    vd = unit_ball_volume(d)
+    out = np.empty(pts.shape[0])
+    for sl in _chunks(pts.shape[0], n, _CACHE_PAIRS):
+        inside = np.sum(pts[sl] * pts[sl], axis=1) < 1.0
+        diff, r2 = _offsets(positions, pts[sl])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = np.sqrt(r2)
+            radial = 1.0 / (_MC_RHO * (d * vd) * r ** (d - 1))
+            radial[r >= _MC_RHO] = 0.0
+            density = _pole_sum(radial) / (2.0 * n) + 0.5 / vd
+            res = _field_mag(diff, r2, weights, d) / density
+        res[~inside | np.any(r <= 1e-13, axis=0)] = 0.0
+        out[sl] = res
+    return out
+
 
 def _energy_mc(config, spec):
     d = config.dimension
     positions = config.positions
     weights = config.weights
-    n = len(weights)
-    vd = unit_ball_volume(d)
-    sphere_area = d * vd
-    rho_imp = 0.5
 
     def sample(b, round_idx, m):
         gen = substream(spec.seed, "mc", round_idx, b)
         # draw both mixture components for every sample; selection by
         # mask keeps the stream layout fixed
         pick_pole = gen.random(m) < 0.5
-        gauss = gen.standard_normal((m, d))
-        gauss /= np.sqrt(np.sum(gauss * gauss, axis=1))[:, None]
-        r_unif = gen.random(m) ** (1.0 / d)
-        x_unif = gauss * r_unif[:, None]
-        idx = gen.integers(0, n, size=m)
-        gauss2 = gen.standard_normal((m, d))
-        gauss2 /= np.sqrt(np.sum(gauss2 * gauss2, axis=1))[:, None]
-        r_pole = gen.random(m) * rho_imp
-        x_pole = positions[idx] + gauss2 * r_pole[:, None]
+        x_unif = _ball_samples(gen, m, d)
+        idx = gen.integers(0, len(weights), size=m)
+        u_pole = _sphere_points(gen, m, d)
+        r_pole = gen.random(m) * _MC_RHO
+        x_pole = positions[idx] + u_pole * r_pole[:, None]
         pts = np.where(pick_pole[:, None], x_pole, x_unif)
-
-        inside = np.sum(pts * pts, axis=1) < 1.0
-        dist = np.sqrt(np.sum(
-            (pts[:, None, :] - positions[None, :, :]) ** 2, axis=2))
-        ok = inside & (np.min(dist, axis=1) > 1e-13)
-
-        density = np.zeros(m)
-        density[inside] += 0.5 / vd
-        near = dist < rho_imp
-        radial = np.zeros_like(dist)
-        radial[near] = 1.0 / (rho_imp * sphere_area
-                              * dist[near] ** (d - 1))
-        density += np.sum(radial, axis=1) / (2.0 * n)
-
-        vals = np.zeros(m)
-        if np.any(ok):
-            vals[ok] = (_field_mag_batch(positions, weights, pts[ok], d)
-                        / density[ok])
-        return np.sum(vals)
+        return np.sum(_importance_ratio(positions, weights, pts))
 
     def target(est):
         return max(spec.rel_tolerance * abs(est), 1e-14)

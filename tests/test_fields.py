@@ -7,7 +7,7 @@ from chargelab import (ChargeConfiguration, SingularPointError,
                        averaged_kernel, cauchy_transform, field_at,
                        fibonacci_sphere_config, potential_at, random_config,
                        uniform_circle_config)
-from chargelab.fields import _field_mag_batch, averaged_kernel_batch
+from chargelab.fields import _field_mag, _offsets, averaged_kernel_batch
 from chargelab.rng import substream
 
 TWO_PI = 2.0 * math.pi
@@ -188,9 +188,15 @@ class TestSymmetries:
             assert np.allclose(fm, fa + fb, rtol=1e-13, atol=1e-14)
 
 
+def _field_mag_of(positions, weights, pts, d):
+    diff, r2 = _offsets(positions, pts)
+    return _field_mag(diff, r2, weights, d)
+
+
 class TestFieldMagBatch:
-    """The component-major batch field against field_at and against the old
-    (points x poles x d) formula."""
+    """The component-major field kernel (`_offsets` then `_field_mag`) on a
+    batch of points, against field_at and against the old (points x poles x
+    d) formula."""
 
     @staticmethod
     def _old(positions, weights, pts, d):
@@ -211,21 +217,21 @@ class TestFieldMagBatch:
     def test_matches_field_at(self, d):
         cfg, gen = self._signed(d, 6, 40 + d)
         pts = _interior_points(gen, 200, d)
-        batch = _field_mag_batch(cfg.positions, cfg.weights, pts, d)
+        batch = _field_mag_of(cfg.positions, cfg.weights, pts, d)
         for x, mag in zip(pts, batch):
             assert mag == pytest.approx(field_at(cfg, x).magnitude, rel=1e-12)
 
     @pytest.mark.parametrize("d,n", [(3, 1), (3, 12), (4, 9), (5, 3)])
     def test_bitwise_against_old_layout(self, d, n):
         cfg, gen = self._signed(d, n, 50 + d)
-        # enough points for several chunks, and single-point calls, where
-        # numpy's own sum over the poles would switch to pairwise order
+        # many points at once, and single-point calls, where numpy's own
+        # sum over the poles would switch to pairwise order
         pts = _interior_points(gen, 9000, d, rmax=0.99)
         old = self._old(cfg.positions, cfg.weights, pts, d)
-        new = _field_mag_batch(cfg.positions, cfg.weights, pts, d)
+        new = _field_mag_of(cfg.positions, cfg.weights, pts, d)
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
         for j in range(0, 9000, 500):
-            one = _field_mag_batch(cfg.positions, cfg.weights, pts[j:j + 1], d)
+            one = _field_mag_of(cfg.positions, cfg.weights, pts[j:j + 1], d)
             assert one[0].hex() == old[j].hex()
 
 

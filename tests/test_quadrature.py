@@ -14,8 +14,10 @@ from chargelab import (ChargeConfiguration, QuadratureSpec, chui_energy,
                        fibonacci_sphere_config, l1_defect, merge_configs,
                        random_config, two_pole_l1, uniform_circle_config,
                        unit_ball_volume)
+from chargelab.configurations import _ball_samples, _sphere_points
+from chargelab.fields import _CACHE_PAIRS
 from chargelab.quadrature import (_FIRST_ROUND_SEEDS, DEFAULT_POLE_RADIUS,
-                                  _cutoff, _first_round,
+                                  _cutoff, _first_round, _importance_ratio,
                                   _nearest_neighbor_dists, _residual_3d)
 
 from _oracles import (FROZEN_COAXIAL_PAIR_3D, FROZEN_SINGLE_2D,
@@ -452,6 +454,95 @@ class TestResidualKernel:
                               _bits(_old_cutoff(r, support)))
 
 
+# the d >= 4 Monte Carlo integrand as it was computed before the
+# component-major kernel: a (points x poles x d) distance broadcast for the
+# in-ball and on-pole mask and the importance density, and the field of the
+# kept points
+def _old_mc(positions, weights, pts):
+    n, d = positions.shape
+    m = pts.shape[0]
+    vd = unit_ball_volume(d)
+    sphere_area = d * vd
+    rho_imp = 0.5
+    inside = np.sum(pts * pts, axis=1) < 1.0
+    dist = np.sqrt(np.sum(
+        (pts[:, None, :] - positions[None, :, :]) ** 2, axis=2))
+    ok = inside & (np.min(dist, axis=1) > 1e-13)
+    density = np.zeros(m)
+    density[inside] += 0.5 / vd
+    near = dist < rho_imp
+    radial = np.zeros_like(dist)
+    radial[near] = 1.0 / (rho_imp * sphere_area * dist[near] ** (d - 1))
+    density += np.sum(radial, axis=1) / (2.0 * n)
+    vals = np.zeros(m)
+    if np.any(ok):
+        vals[ok] = _old_field(positions, weights, pts[ok], d) / density[ok]
+    return vals
+
+
+class TestMonteCarloKernel:
+    """The component-major importance ratio against the old inline formula
+    on the Monte Carlo path's own mixture of ball and near-pole points."""
+
+    @staticmethod
+    def _system(n, d, seed):
+        # poles crowded within 0.4 of the centre, so that many points see
+        # several poles' density terms and their summation order shows
+        gen = np.random.default_rng(seed)
+        pos = 0.4 * random_config(n, d, seed=seed, interior=True).positions
+        w = gen.uniform(0.2, 3.0, n) * gen.choice([-1.0, 1.0], n)
+        return pos, w, gen
+
+    @staticmethod
+    def _mixture(pos, gen, m):
+        """m ball points, m points within 0.5 of a random pole and m // 10
+        points outside the ball."""
+        n, d = pos.shape
+        near = pos[gen.integers(0, n, m)] + (
+            _sphere_points(gen, m, d) * (0.5 * gen.random(m))[:, None])
+        out = _sphere_points(gen, m // 10, d) * 1.25
+        return np.vstack([_ball_samples(gen, m, d), near, out])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_bitwise_against_old_formula(self, n, d):
+        pos, w, gen = self._system(n, d, 60 + d)
+        pts = self._mixture(pos, gen, 3000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _importance_ratio(pos, w, pts)
+            single = np.concatenate([_importance_ratio(pos, w, pts[j:j + 1])
+                                     for j in range(0, len(pts), 97)])
+        expect = _old_mc(pos, w, pts)
+        assert np.any(got == 0.0) and np.all(np.isfinite(got))
+        assert np.array_equal(_bits(got), _bits(expect))
+        assert np.array_equal(_bits(single), _bits(expect[::97]))
+
+    def test_many_poles_across_chunks(self):
+        # from 8 poles on, numpy's sum over poles in the old formula runs in
+        # pairwise order, the kernel in pole order
+        pos, w, gen = self._system(12, 4, 70)
+        pts = self._mixture(pos, gen, 4500)
+        assert len(pts) > 3 * (_CACHE_PAIRS // 12)
+        got = _importance_ratio(pos, w, pts)
+        expect = _old_mc(pos, w, pts)
+        assert np.array_equal(got == 0.0, expect == 0.0)
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_excluded_points_give_zero(self, d):
+        pos, w, _ = self._system(3, d, 80 + d)
+        pos[0] = 0.0
+        step = np.zeros(d)
+        step[0] = 1e-14
+        probes = np.vstack([pos, pos + step, pos - step,
+                            1.5 * np.eye(d), -np.eye(d)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _importance_ratio(pos, w, probes)
+        assert np.array_equal(_bits(got), _bits(np.zeros(len(probes))))
+
+
 # the tolerance per dimension keeps one energy call near 0.1 s; d >= 4 is
 # plain Monte Carlo and converges slowest
 _PROPERTY_TOL = {2: 1e-3, 3: 3e-3, 4: 2e-2}
@@ -526,8 +617,9 @@ class TestEnergyProperties:
 
 
 class TestStochasticPins:
-    """Exact results of the d = 3 RQMC and d = 4 Monte Carlo paths at fixed
-    spec seeds: any change to their arithmetic, however small, fails here.
+    """Exact results of the d = 3 RQMC path and the Monte Carlo path (d = 4,
+    and forced in d = 2 and 3) at fixed spec seeds: any change to their
+    arithmetic, however small, fails here.
 
     Recorded with numpy 2.4.6 on x86-64. The values run through numpy's
     pow, sin and cos loops, whose last bits may differ on another numpy
@@ -567,6 +659,17 @@ class TestStochasticPins:
                                 [1.0, 1.0]),
             QuadratureSpec(max_evals=400_000, seed=7)),
             "0x1.6c4f88413a137p+4", "0x1.4496564789e2cp-3", 262204, False),
+        # the Monte Carlo path forced in d = 2 (poles at the origin, inside
+        # with a negative weight and on the circle) and in d = 3
+        "mc2_forced": (lambda: chui_energy(
+            ChargeConfiguration([[0.0, 0.0], [0.5, -0.3], [0.0, 1.0]],
+                                [1.0, -0.5, 2.0]),
+            QuadratureSpec(method="mc", rel_tolerance=3e-3, seed=7)),
+            "0x1.74e900419b23ap+3", "0x1.0b3b433783de2p-5", 65536, True),
+        "mc3_forced": (lambda: chui_energy(
+            random_config(6, 3, seed=1, interior=True),
+            QuadratureSpec(method="mc", rel_tolerance=3e-3, seed=7)),
+            "0x1.4784c98d6a3a0p+5", "0x1.4dad5a039d55fp-4", 65536, True),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
