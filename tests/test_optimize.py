@@ -134,10 +134,10 @@ class TestOptimizerPins:
          0, "0x1.80fcb438f87b9p+2"),
         ([1, 1], 3, 0, 120,
          {"evaluations": 75, "stop_reason": "converged",
-          "events": [_restart(38)]}, 15, "0x1.48c4b12aef37bp+3"),
+          "events": [_restart(38)]}, 15, "0x1.48c4b12aef382p+3"),
         ([1, 1, 1], 3, 2, 150,
          {"evaluations": 138, "stop_reason": "converged", "events": []},
-         17, "0x1.b38cb1feeec68p+3"),
+         17, "0x1.b38cb1feeec74p+3"),
     ], ids=["d2_triple", "d2_budget_stop", "d3_pair", "d3_triple"])
     def test_real_energy_runs(self, weights, d, seed, budget, meta, n_improve,
                               best):
