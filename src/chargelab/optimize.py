@@ -11,8 +11,10 @@ charge's angle stays at its initial value; on the 2-sphere the first charge
 is fixed entirely and the second keeps its initial azimuth about the first
 (it moves on the great semicircle from the first charge to its antipode).
 
-One multistart loop serves d = 2 and d = 3; a per-dimension table gives it
-the first start, the coordinate map, the local stage and the restart draw.
+One multistart loop and one compass search (Kolda, Lewis & Torczon, SIAM
+Review 2003) serve d = 2 and d = 3; a per-dimension table gives them the
+first start, the chart (free coordinates and the map back to positions)
+and the restart draw.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import json
 import math
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from .configurations import (ChargeConfiguration, _sphere_points,
                              cluster_poles, fibonacci_sphere_config,
@@ -40,9 +41,15 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# poles closer than this chord are treated as collided and merged; on the
-# circle the chord 2 sin(gap/2) equals the angle gap to 4e-14 relative here
-_COLLISION_GAP = 1e-6
+# the local stage's step halves from 0.4 rad = 2**_HALVINGS lattice units
+# down to one unit, so every polled point lies on the lattice of _UNIT
+_HALVINGS = 11
+_UNIT = 0.4 * 2.0 ** -_HALVINGS
+
+# poles closer than this chord are treated as collided and merged; a search
+# that pulls two poles together reaches the stage's last step (the chord
+# 2 sin(g/2) of an angle gap g is below g)
+_COLLISION_GAP = _UNIT
 
 
 @dataclass(frozen=True)
@@ -115,105 +122,91 @@ class _Run:
             self.best = config
             self.best_energy = res.value
             self.best_error = res.error
-            if self.iterates:
-                self.iterates.append(Iterate(config, res.value, res.error, "improve"))
+            self.iterates.append(Iterate(config, res.value, res.error,
+                                         "improve" if self.iterates else "start"))
         return res
 
 
-def _angles_to_config(angles, weights) -> ChargeConfiguration:
-    pos = np.column_stack([np.cos(angles), np.sin(angles)])
-    return ChargeConfiguration(pos, weights)
+def _circle_points(angles):
+    return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def _nm_stage(run, angles, weights, _start_energy):
-    """One Nelder-Mead descent over angles[1:], first angle pinned."""
-    pinned = angles[0]
-
-    def objective(free):
-        config = _angles_to_config(np.concatenate([[pinned], free]), weights)
-        return run.energy(config).value
-
-    res = sp_optimize.minimize(
-        objective, angles[1:], method="Nelder-Mead",
-        options={"maxfev": run.budget - run.evals, "xatol": 1e-6,
-                 "fatol": 1e-12, "adaptive": len(angles) > 5})
-    if res.status != 0:
-        # stopped on maxfev, not on the simplex tolerances
-        raise _BudgetExhausted
-    return np.concatenate([[pinned], np.atleast_1d(res.x)])
+def _circle_chart(positions):
+    """Angles of points 1..n-1 and the map back; point 0 keeps its angle."""
+    angles = np.arctan2(positions[:, 1], positions[:, 0])
+    return angles[1:], lambda v: _circle_points(np.concatenate([angles[:1], v]))
 
 
-def _pole_frame(p0):
-    """Householder reflection H (symmetric, its own inverse), H p0 = e_z."""
-    v = p0 - np.array([0.0, 0.0, 1.0])
-    vv = np.dot(v, v)
-    if vv == 0.0:
-        return np.eye(3)
-    return np.eye(3) - (2.0 / vv) * np.outer(v, v)
+def _sphere_chart(positions):
+    """Spherical coordinates of points 1..n-1 about point 0, and the map back.
 
-
-def _pack_sphere(positions, frame):
-    """Spherical coordinates of points 1..n-1 in `frame`, which puts point 0
-    at the pole; the azimuth of point 1 (about point 0) is omitted."""
+    The azimuth of point 1 about point 0 is pinned, so point 1 moves on the
+    great semicircle from point 0 through its start to its antipode.
+    """
+    # Householder reflection (symmetric, its own inverse) taking point 0 to e_z
+    u = positions[0] - np.array([0.0, 0.0, 1.0])
+    uu = np.dot(u, u)
+    frame = np.eye(3) - (2.0 / uu) * np.outer(u, u) if uu else np.eye(3)
     q = positions @ frame
     polar = np.arccos(np.clip(q[:, 2], -1.0, 1.0))
     azim = np.arctan2(q[:, 1], q[:, 0])
-    pairs = np.column_stack([polar, azim])[1:].ravel()
-    return np.delete(pairs, 1), azim[1]
+
+    def unpack(v):
+        pairs = np.concatenate([[0.0, 0.0], v[:1], [azim[1]], v[1:]])
+        theta, phi = pairs.reshape(-1, 2).T.copy()
+        # projection: reflect polar back into [0, pi], wrap azimuth
+        theta = np.abs(np.remainder(theta, TWO_PI))
+        flip = theta > math.pi
+        theta[flip] = TWO_PI - theta[flip]
+        s = np.sin(theta)
+        return np.column_stack([s * np.cos(phi), s * np.sin(phi),
+                                np.cos(theta)]) @ frame
+
+    return np.delete(np.column_stack([polar, azim])[1:].ravel(), 1), unpack
 
 
-def _unpack_sphere(v, frame, azim1):
-    """Points from `v`, point 0 at the pole of `frame`, point 1 at azim1."""
-    pairs = np.concatenate([[0.0, 0.0], v[:1], [azim1], v[1:]])
-    polar, azim = pairs.reshape(-1, 2).T.copy()
-    # projection: reflect polar back into [0, pi], wrap azimuth
-    polar = np.abs(np.remainder(polar, TWO_PI))
-    flip = polar > math.pi
-    polar[flip] = TWO_PI - polar[flip]
-    s = np.sin(polar)
-    q = np.column_stack([s * np.cos(azim), s * np.sin(azim), np.cos(polar)])
-    return q @ frame
+def _pattern_stage(run, v0, unpack, weights, best):
+    """Compass search from chart coordinates v0 (energy `best`) to positions.
 
-
-def _pattern_stage(run, positions, weights, best):
-    """Coordinate-wise pattern search in spherical coordinates about point 0.
-
-    Point 1 keeps its azimuth about point 0, so it moves on the great
-    semicircle from point 0 through its start to the antipode of point 0.
+    Each coordinate in turn takes the first improving poll at +-step; a sweep
+    without one halves the step. Polled points are v0 + _UNIT * k for integer
+    k, and no k is evaluated twice: a point already polled cannot beat best.
     """
-    frame = _pole_frame(positions[0])
-    v, azim1 = _pack_sphere(positions, frame)
-
-    step = 0.4
-    while step >= 1e-4:
+    k = np.zeros(len(v0), dtype=np.int64)
+    seen = {tuple(k)}
+    step = 2 ** _HALVINGS
+    while step >= 1:
         improved = False
-        for i in range(len(v)):
+        for i in range(len(k)):
             for s in (step, -step):
-                trial = v.copy()
+                trial = k.copy()
                 trial[i] += s
+                if tuple(trial) in seen:
+                    continue
+                seen.add(tuple(trial))
                 val = run.energy(ChargeConfiguration(
-                    _unpack_sphere(trial, frame, azim1), weights)).value
+                    unpack(v0 + _UNIT * trial), weights)).value
                 if val < best:
-                    best, v = val, trial
+                    best, k = val, trial
                     improved = True
                     break
         if not improved:
-            step *= 0.5
-    return _unpack_sphere(v, frame, azim1)
+            step //= 2
+    return unpack(v0 + _UNIT * k)
 
 
-# per dimension: the method name, the first start's coordinates (angles or
-# unit vectors), coordinates -> configuration, the local stage, the restart
-# draw, the restart count, and the stage floor and evals per free coordinate
+# per dimension: the first start, the chart and the restart draw
 _SEARCHES = {
-    2: ("nelder-mead-angles", lambda w: weighted_arc_config(w)[0].angles(),
-        _angles_to_config, _nm_stage,
-        lambda gen, n: np.sort(gen.uniform(-math.pi, math.pi, n)), 3, 60, 25),
-    3: ("projected-pattern-search",
-        lambda w: fibonacci_sphere_config(len(w)).positions,
-        ChargeConfiguration, _pattern_stage,
-        lambda gen, n: _sphere_points(gen, n, 3), 2, 80, 30),
+    2: (lambda w: _circle_points(weighted_arc_config(w)[0].angles()),
+        _circle_chart,
+        lambda gen, n: _circle_points(
+            np.sort(gen.uniform(-math.pi, math.pi, n)))),
+    3: (lambda w: fibonacci_sphere_config(len(w)).positions, _sphere_chart,
+        lambda gen, n: _sphere_points(gen, n, 3)),
 }
+# random restarts, queued only while a whole stage fits: max(floor, evals
+# per free coordinate * free coordinates)
+_RESTARTS, _STAGE_FLOOR, _EVALS_PER_FREE = 3, 60, 25
 
 
 def minimize_positions(weights, d: int, seed: int = 0, budget: int = 1000,
@@ -223,9 +216,10 @@ def minimize_positions(weights, d: int, seed: int = 0, budget: int = 1000,
     Multistart local search: the arc-midpoint placement (d = 2) or the
     golden-angle lattice (d = 3) seeds the first descent, then seeded random
     restarts run while the evaluation budget (count of energy evaluations)
-    comfortably allows; meta["method"] names the local stage. Colliding poles
-    are merged (weights add; the energy extends continuously) and the search
-    continues on the reduced configuration with a recorded "merge" event.
+    comfortably allows; each runs the one local stage, a compass search in
+    the dimension's chart. Colliding poles are merged (weights add; the energy
+    extends continuously) and the search continues on the reduced
+    configuration with a recorded "merge" event.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size < 1 or np.any(weights <= 0):
@@ -234,56 +228,51 @@ def minimize_positions(weights, d: int, seed: int = 0, budget: int = 1000,
         raise ValueError("budget must allow at least 100 energy evaluations")
     if d not in _SEARCHES:
         raise ValueError("position optimization supports d in {2, 3}")
-    (method, start, to_config, stage, draw,
-     n_restarts, floor, per_free) = _SEARCHES[d]
+    start, chart, draw = _SEARCHES[d]
     spec = spec or QuadratureSpec(rel_tolerance=1e-3, seed=seed)
     run = _Run(spec, budget)
     gen = substream(seed, "optimize-starts", d)
     n = len(weights)
-    n_restarts = n_restarts if n > 1 else 0
-    # a restart is queued only while a whole stage fits; gauge pinning
-    # leaves (d-1) n - d(d-1)/2 free coordinates
-    min_stage = max(floor, per_free * ((d - 1) * n - d * (d - 1) // 2))
-    starts = [(start(weights), weights)]
+    n_restarts = _RESTARTS if n > 1 else 0
+    # gauge pinning leaves (d-1) n - d(d-1)/2 free coordinates
+    min_stage = max(_STAGE_FLOOR,
+                    _EVALS_PER_FREE * ((d - 1) * n - d * (d - 1) // 2))
+    # a merged configuration is queued with the energy its merge evaluated
+    starts = [(start(weights), weights, None)]
 
     stop = "converged"
     try:
         while starts:
-            x, w = starts.pop(0)
-            config = to_config(x, w)
-            res = run.energy(config)
-            if run.iterates:
-                run.events.append({"type": "restart", "eval": run.evals})
-            else:
-                run.iterates.append(Iterate(config, res.value, res.error, "start"))
-            # evaluates the start a second time: dropping this duplicate
-            # changes every trace and evaluation count (see ROADMAP)
-            start_energy = run.energy(config).value
+            x, w, res = starts.pop(0)
+            if res is None:
+                res = run.energy(ChargeConfiguration(x, w))
+                if run.evals > 1:
+                    run.events.append({"type": "restart", "eval": run.evals})
             if len(w) > 1:
-                x = stage(run, x, w, start_energy)
-            first, merged_w = cluster_poles(to_config(x, w).positions, w,
-                                            _COLLISION_GAP)
+                x = _pattern_stage(run, *chart(x), w, res.value)
+            first, merged_w = cluster_poles(x, w, _COLLISION_GAP)
             if first.size < len(w):
                 x, w = x[first], merged_w
-                config = to_config(x, w)
+                config = ChargeConfiguration(x, w)
                 res = run.energy(config)
                 run.events.append({"type": "merge", "eval": run.evals,
                                    "n_charges": len(w)})
                 last = run.iterates[-1]
                 if res.value <= last.energy + 2.0 * (last.error + res.error):
                     run.iterates.append(Iterate(config, res.value, res.error, "merge"))
-                starts.insert(0, (x, w))
+                starts.insert(0, (x, w, res))
             elif n_restarts > 0 and run.budget - run.evals >= min_stage:
                 n_restarts -= 1
-                starts.append((draw(gen, n), weights))
+                starts.append((draw(gen, n), weights, None))
     except _BudgetExhausted:
         stop = "budget"
 
     return OptimizationTrace(
         iterates=run.iterates, best=run.best, best_energy=run.best_energy,
         best_error=run.best_error,
-        meta={"method": method, "seed": seed, "evaluations": run.evals,
-              "stop_reason": stop, "events": run.events})
+        meta={"method": "projected-pattern-search", "seed": seed,
+              "evaluations": run.evals, "stop_reason": stop,
+              "events": run.events})
 
 
 # ---------------------------------------------------------------------------

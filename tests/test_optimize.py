@@ -1,7 +1,9 @@
+import collections
 import itertools
 import json
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from chargelab import (ChargeConfiguration, QuadratureSpec, chui_energy,
                        uniform_circle_config)
 from chargelab import optimize
 from chargelab.configurations import cluster_poles
-from chargelab.optimize import _COLLISION_GAP, _angles_to_config
+from chargelab.optimize import _COLLISION_GAP, _circle_points
 from chargelab.quadrature import QuadratureResult
 
 from _oracles import FROZEN_UNIFORM_ENERGY, grid_min_gap_energy
@@ -48,7 +50,8 @@ class TestMinimize2d:
         assert np.all(np.abs(gaps - TWO_PI / 3.0) <= 0.02)
 
     def test_budget_stop(self):
-        trace = minimize_positions(np.ones(4), 2, seed=0, budget=100)
+        # four unit charges start at the optimum and converge in 73 evals
+        trace = minimize_positions(np.ones(6), 2, seed=0, budget=100)
         assert trace.meta["stop_reason"] == "budget"
         assert trace.meta["evaluations"] <= 100
 
@@ -81,7 +84,7 @@ class TestMinimize2d:
 
     def test_meta_contents(self):
         trace = minimize_positions(np.ones(2), 2, seed=0, budget=150)
-        assert trace.meta["method"] == "nelder-mead-angles"
+        assert trace.meta["method"] == "projected-pattern-search"
         assert trace.meta["seed"] == 0
         assert trace.meta["stop_reason"] in ("budget", "converged")
         assert isinstance(trace.meta["events"], list)
@@ -118,6 +121,50 @@ def _attractive_energy(config, spec):
     return QuadratureResult(value, 1e-6, 1, True, "adaptive")
 
 
+def _repulsive_energy(config, spec):
+    """Sum of w_i w_j / (0.1 + chord): a cheap stand-in that never collides."""
+    p, w = config.positions, config.weights
+    value = sum(w[i] * w[j] / (0.1 + float(np.linalg.norm(p[i] - p[j])))
+                for i in range(len(p)) for j in range(i + 1, len(p)))
+    return QuadratureResult(value, 1e-6, 1, True, "adaptive")
+
+
+def _counted_run(monkeypatch, energy, weights, d, seed, budget):
+    """Run the optimizer on `energy`; count the calls per configuration."""
+    calls = collections.Counter()
+
+    def counted(config, spec):
+        calls[(config.positions.tobytes(), config.weights.tobytes())] += 1
+        return energy(config, spec)
+
+    monkeypatch.setattr(optimize, "chui_energy", counted)
+    trace = minimize_positions(weights, d, seed=seed, budget=budget)
+    return trace, calls
+
+
+class TestEvaluationsDistinct:
+    """Each configuration the optimizer evaluates is evaluated once."""
+
+    @pytest.mark.parametrize("weights, d, seed, budget", [
+        ([1, 1, 1], 2, 1, 150), ([1, 1], 3, 0, 120)], ids=["d2", "d3"])
+    def test_real_energy(self, monkeypatch, weights, d, seed, budget):
+        trace, calls = _counted_run(monkeypatch, chui_energy, weights, d,
+                                    seed, budget)
+        assert trace.meta["evaluations"] == len(calls)
+        assert max(calls.values()) == 1
+
+    @settings(max_examples=20)
+    @given(st.lists(st.floats(0.25, 4.0), min_size=1, max_size=4),
+           st.sampled_from([2, 3]), st.integers(0, 1000),
+           st.integers(100, 200))
+    def test_fake_energy(self, weights, d, seed, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            trace, calls = _counted_run(mp, _repulsive_energy, weights, d,
+                                        seed, budget)
+        assert trace.meta["evaluations"] == len(calls)
+        assert max(calls.values()) == 1
+
+
 class TestOptimizerPins:
     """Exact runs of the multistart loop.
 
@@ -127,40 +174,45 @@ class TestOptimizerPins:
 
     @pytest.mark.parametrize("weights, d, seed, budget, meta, n_improve, best", [
         ([1, 1, 1], 2, 1, 150,
-         {"evaluations": 138, "stop_reason": "converged",
-          "events": [_restart(42)]}, 0, "0x1.6bcbed45bdee6p+2"),
-        ([1, 1, 1, 1], 2, 0, 100,
+         {"evaluations": 108, "stop_reason": "converged",
+          "events": [_restart(50)]}, 0, "0x1.6bcbed45bdee6p+2"),
+        ([1] * 6, 2, 0, 100,
          {"evaluations": 100, "stop_reason": "budget", "events": []},
-         0, "0x1.80fcb438f87b9p+2"),
+         0, "0x1.99192ae21872cp+2"),
         ([1, 1], 3, 0, 120,
-         {"evaluations": 75, "stop_reason": "converged",
-          "events": [_restart(38)]}, 15, "0x1.48c4b12aef382p+3"),
+         {"evaluations": 70, "stop_reason": "converged",
+          "events": [_restart(24), _restart(48)]}, 15, "0x1.48c4b12aef383p+3"),
         ([1, 1, 1], 3, 2, 150,
-         {"evaluations": 138, "stop_reason": "converged", "events": []},
+         {"evaluations": 109, "stop_reason": "converged", "events": []},
          17, "0x1.b38cb1feeec74p+3"),
     ], ids=["d2_triple", "d2_budget_stop", "d3_pair", "d3_triple"])
     def test_real_energy_runs(self, weights, d, seed, budget, meta, n_improve,
                               best):
         trace = minimize_positions(weights, d, seed=seed, budget=budget)
-        method = "nelder-mead-angles" if d == 2 else "projected-pattern-search"
-        assert trace.meta == {"method": method, "seed": seed, **meta}
+        assert trace.meta == {"method": "projected-pattern-search",
+                              "seed": seed, **meta}
         assert [it.event for it in trace.iterates] == (
             ["start"] + ["improve"] * n_improve)
         assert trace.best_energy.hex() == best
 
-    def test_merge_run(self, monkeypatch):
+    @pytest.mark.parametrize("d, evaluations, events, n_improve", [
+        (2, 109, [_merge(29), _restart(30), _merge(57), _restart(58),
+                  _merge(83), _restart(84), _merge(109)], 17),
+        (3, 107, [_merge(30), _restart(31), _merge(55), _restart(56),
+                  _merge(79), _restart(80), _merge(107)], 11),
+    ], ids=["d2", "d3"])
+    def test_merge_run(self, monkeypatch, d, evaluations, events, n_improve):
         # no real-energy run collides, so an attractive surrogate drives
-        # the pair together; each merge restarts the loop on one pole
+        # the pair together; each merge continues the loop on one pole,
+        # which is not evaluated again, and a restart follows
         monkeypatch.setattr(optimize, "chui_energy", _attractive_energy)
-        trace = minimize_positions([1, 2], 2, seed=1, budget=300)
+        trace = minimize_positions([1, 2], d, seed=1, budget=300)
         assert trace.meta == {
-            "method": "nelder-mead-angles", "seed": 1, "evaluations": 279,
-            "stop_reason": "converged",
-            "events": [_merge(97), _restart(98), _restart(100),
-                       _merge(186), _restart(187), _restart(189),
-                       _merge(277), _restart(278)]}
+            "method": "projected-pattern-search", "seed": 1,
+            "evaluations": evaluations, "stop_reason": "converged",
+            "events": events}
         assert [it.event for it in trace.iterates] == (
-            ["start"] + ["improve"] * 14 + ["merge"] * 3)
+            ["start"] + ["improve"] * n_improve + ["merge"] * 4)
         assert trace.best_energy.hex() == "0x1.0000000000000p+0"
 
 
@@ -201,8 +253,8 @@ class TestTraceFile:
 
 def _merge_angles(angles, weights):
     """The 2-D optimizer's collision merge: clusters of its circle points."""
-    first, merged = cluster_poles(_angles_to_config(angles, weights).positions,
-                                  weights, _COLLISION_GAP)
+    first, merged = cluster_poles(_circle_points(angles), weights,
+                                  _COLLISION_GAP)
     return angles[first], merged
 
 

@@ -776,8 +776,9 @@ class TestFirstRoundCache:
 
 def test_import_defers_scipy_stats():
     # scipy.stats (about a second to import) is only needed by the d=3 RQMC
-    # bulk, so importing chargelab must not load it, and the bulk's
-    # first-round cache fills on the first call, not at import
+    # bulk, so importing chargelab must not load it, nor any other scipy
+    # module, and the bulk's first-round cache fills on the first call, not
+    # at import
     src = os.path.dirname(os.path.dirname(chargelab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -787,6 +788,7 @@ def test_import_defers_scipy_stats():
         "import chargelab\n"
         "cache = chargelab.quadrature._first_round\n"
         "assert 'scipy.stats' not in sys.modules\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
         "assert cache.cache_info().currsize == 0\n"
         "cfg = chargelab.ChargeConfiguration([[0.0, 0.0, 0.5]], [1.0])\n"
         "res = chargelab.chui_energy(cfg)\n"
