@@ -270,14 +270,8 @@ def random_config(n: int, d: int, seed: int, interior: bool = False) -> ChargeCo
     return ChargeConfiguration(pos, np.ones(n))
 
 
-def cluster_poles(positions, weights, tol: float):
-    """Single-linkage clusters of poles: the one rule that decides merging.
-
-    Two poles share a cluster when a chain of gaps, each below `tol`, links
-    them, so the partition does not depend on the input order. Returns
-    (first, summed): each cluster's first-occurrence index, ascending, and
-    its summed weight.
-    """
+def _cluster_labels(positions, tol):
+    """Each pole's cluster under `cluster_poles`, labelled by first index."""
     positions = np.asarray(positions, dtype=float)
     diff = positions[:, None, :] - positions[None, :, :]
     linked = np.sqrt(np.sum(diff * diff, axis=2)) < tol
@@ -287,8 +281,19 @@ def cluster_poles(positions, weights, tol: float):
         # point labels each cluster with its first index
         spread = np.min(np.where(linked, labels[None, :], labels.size), axis=1)
         if np.array_equal(spread, labels):
-            break
+            return labels
         labels = spread
+
+
+def cluster_poles(positions, weights, tol: float):
+    """Single-linkage clusters of poles: the one rule that decides merging.
+
+    Two poles share a cluster when a chain of gaps, each below `tol`, links
+    them, so the partition does not depend on the input order. Returns
+    (first, summed): each cluster's first-occurrence index, ascending, and
+    its summed weight.
+    """
+    labels = _cluster_labels(positions, tol)
     first = np.flatnonzero(labels == np.arange(labels.size))
     summed = np.bincount(labels, weights=np.asarray(weights, dtype=float))
     return first, summed[first]

@@ -113,7 +113,7 @@ class _Run:
         self.best_energy = math.inf
         self.best_error = math.inf
 
-    def energy(self, config):
+    def energy(self, config, event="improve"):
         if self.evals >= self.budget:
             raise _BudgetExhausted
         self.evals += 1
@@ -123,7 +123,7 @@ class _Run:
             self.best_energy = res.value
             self.best_error = res.error
             self.iterates.append(Iterate(config, res.value, res.error,
-                                         "improve" if self.iterates else "start"))
+                                         event if self.iterates else "start"))
         return res
 
 
@@ -254,11 +254,13 @@ def minimize_positions(weights, d: int, seed: int = 0, budget: int = 1000,
             if first.size < len(w):
                 x, w = x[first], merged_w
                 config = ChargeConfiguration(x, w)
-                res = run.energy(config)
+                res = run.energy(config, "merge")
                 run.events.append({"type": "merge", "eval": run.evals,
                                    "n_charges": len(w)})
                 last = run.iterates[-1]
-                if res.value <= last.energy + 2.0 * (last.error + res.error):
+                # an improving merge is already recorded, as "merge"
+                if last.config is not config and (
+                        res.value <= last.energy + 2.0 * (last.error + res.error)):
                     run.iterates.append(Iterate(config, res.value, res.error, "merge"))
                 starts.insert(0, (x, w, res))
             elif n_restarts > 0 and run.budget - run.evals >= min_stage:

@@ -12,7 +12,11 @@ at the charge locations. Each dimension handles them its own way:
     third.
   * d = 3: the singular surrogates |w_k| c(r)/r^2 have a closed-form mass,
     and randomized quasi-Monte Carlo integrates the bounded residual (field
-    magnitude minus the surrogates) over the whole ball.
+    magnitude minus the surrogates) over the whole ball. A cluster of
+    crowded poles (diameter D, well apart from the rest) adds a ring
+    surrogate for its summed weight, which has a closed-form mass too, and
+    two strata about its centre: the ball of radius 4D and a halo out to
+    0.25 with log-uniform radius. The bulk leaves out what the strata hold.
   * d >= 4 (or "mc" forced): Monte Carlo sampling half the ball, half near
     the poles (accuracy degraded and flagged).
 
@@ -27,8 +31,8 @@ replicate draws its points: both run `_replicated_mean`, which owns the
 sums, the estimate, its standard error and the tolerance and budget stops.
 The RQMC bulk's first round (8 replicates x 4096 ball points) depends only
 on the spec seed and ends most calls, so `_first_round` caches it per seed
-as one read-only block (about 0.8 MB; at most _FIRST_ROUND_SEEDS seeds), and
-round 0 is one kernel pass over it. Later rounds draw from fresh engines
+as one read-only block (about 0.8 MB, 2.6 MB with the strata's points; at
+most _FIRST_ROUND_SEEDS blocks), and round 0 is one kernel pass over it. Later rounds draw from fresh engines
 fast-forwarded past the first round, so calls share no mutable state and
 every result is bit-identical to drawing each round anew.
 
@@ -49,8 +53,8 @@ import numpy as np
 # integrate_1d is unused here; perfbench's tracer patches it by this name
 from ._cubature import Region, integrate_1d, integrate_regions  # noqa: F401
 from .configurations import (BOUNDARY_SNAP, ChargeConfiguration,
-                             _ball_samples, _on_sphere, _sphere_points,
-                             merge_coincident)
+                             _ball_samples, _cluster_labels, _on_sphere,
+                             _sphere_points, merge_coincident)
 from .fields import (_CACHE_PAIRS, _cauchy_abs_batch, _chunks, _field_mag,
                      _offsets, _pole_sum, averaged_kernel_batch)
 from .rng import derive_key, substream
@@ -72,11 +76,15 @@ DEFAULT_POLE_RADIUS = 0.1
 _METHODS = ("auto", "mc")
 
 # d = 3 RQMC bulk: replicates, first-round points per replicate, and how
-# many spec seeds keep their first round cached (3 x 4096 doubles per
-# replicate, about 0.8 MB per seed)
+# many first rounds stay cached (3 x 4096 doubles per replicate, about
+# 0.8 MB per seed; 10 x 4096 with cluster strata)
 _RQMC_REPS = 8
 _RQMC_FIRST = 4096
 _FIRST_ROUND_SEEDS = 8
+# d = 3 cluster strata: a cluster of diameter D has an inner ball of radius
+# _CLUSTER_K * D and a halo out to _HALO about its centre
+_CLUSTER_K = 4.0
+_HALO = 0.25
 # Sobol rows mapped into the ball at a time
 _MAP_ROWS = 4096
 
@@ -414,13 +422,15 @@ def _surrogate_mass(t, support):
     return 0.5 * (np.where(inside, 6.0, 0.0) + shell) * math.pi * support
 
 
-def _replicated_mean(sample, n_rep, draw, doubling, volume, budget, target):
+def _replicated_mean(sample, n_rep, draw, doubling, volume, budget, target,
+                     streams=1):
     """Mean over independent replicates of a sampled integral, in rounds.
 
     sample(rnd, m) returns, per replicate, the sum of the m integrand values
     it draws in round rnd. The first round draws `draw` points per
     replicate; each later round draws as many again or, with `doubling`, as
-    many as all earlier rounds together. Replicate means are volume times
+    many as all earlier rounds together. A point costs `streams` evals (one
+    per stratum summed into its value). Replicate means are volume times
     the average; their mean is the estimate and their standard error the
     sigma. Stops when sigma <= target(estimate), or unconverged when the next
     round would take the evals past `budget`. Returns (estimate, sigma,
@@ -431,7 +441,7 @@ def _replicated_mean(sample, n_rep, draw, doubling, volume, budget, target):
     while True:
         sums += sample(rnd, draw)
         count += draw
-        evals += n_rep * draw
+        evals += n_rep * draw * streams
         means = volume * sums / count
         est = float(np.mean(means))
         sigma = float(np.std(means, ddof=1) / math.sqrt(n_rep))
@@ -439,18 +449,17 @@ def _replicated_mean(sample, n_rep, draw, doubling, volume, budget, target):
             return est, sigma, evals, True
         if doubling:
             draw = count
-        if evals + n_rep * draw > budget:
+        if evals + n_rep * draw * streams > budget:
             return est, sigma, evals, False
         rnd += 1
 
 
-def _sobol(seed, rep):
-    """Scrambled Sobol engine of one replicate of the d = 3 RQMC bulk."""
+def _sobol(seed, rep, tag="rqmc-bulk", dim=3):
+    """Scrambled Sobol engine of one d = 3 RQMC replicate (bulk or strata)."""
     # scipy.stats costs about a second to import; only this path needs it
     from scipy.stats import qmc
 
-    return qmc.Sobol(d=3, scramble=True,
-                     seed=derive_key(seed, "rqmc-bulk", rep))
+    return qmc.Sobol(d=dim, scramble=True, seed=derive_key(seed, tag, rep))
 
 
 def _ball_points(u):
@@ -472,17 +481,35 @@ def _ball_points(u):
     return out
 
 
+def _points(engines, m):
+    """One replicate's next m points, component-major: (3, m) ball points
+    or, with a 6-D stratum engine, (10, m) adding a unit-ball point (inner
+    balls), a unit direction and a uniform (halo radii)."""
+    pts = _ball_points(engines[0].random(m))
+    if len(engines) == 1:
+        return pts
+    u = engines[1].random(m)
+    dirs = np.column_stack([np.ones(m), u[:, 4], u[:, 5]])
+    return np.vstack([pts, _ball_points(u[:, :3]), _ball_points(dirs), u[:, 3]])
+
+
+def _engines(seed, rep, strata):
+    tags = [("rqmc-bulk", 3)] + [("rqmc-stratum", 6)] * strata
+    return [_sobol(seed, rep, *tag) for tag in tags]
+
+
 @functools.lru_cache(maxsize=_FIRST_ROUND_SEEDS)
-def _first_round(seed):
-    """Per replicate, read-only views into one block of first-round points."""
-    block = np.concatenate([_ball_points(_sobol(seed, rep).random(_RQMC_FIRST))
+def _first_round(seed, strata=False):
+    """Per replicate, read-only views into one block of first-round points
+    (`_points` rows, with the stratum rows when `strata`)."""
+    block = np.concatenate([_points(_engines(seed, rep, strata), _RQMC_FIRST)
                             for rep in range(_RQMC_REPS)], axis=1)
     block.flags.writeable = False
     return tuple(block[:, lo:lo + _RQMC_FIRST]
                  for lo in range(0, block.shape[1], _RQMC_FIRST))
 
 
-def _rqmc_bulk(h, spec, budget, target_fn):
+def _rqmc_bulk(h, spec, budget, target_fn, streams=1):
     """Scrambled-Sobol mean of a ball integrand, 8 replicates, doubled rounds.
 
     Round 0 runs h once on the `_first_round` block of the spec seed and
@@ -491,23 +518,83 @@ def _rqmc_bulk(h, spec, budget, target_fn):
     replicate. Later rounds build the engines afresh, fast-forwarded past
     the first round, and keep them for the rest of the call; engines are
     never shared between calls. Each round's points are drawn and summed
-    whole, so results match drawing every round from one engine. target_fn
-    maps the current bulk estimate to the absolute sigma target; returns
-    (estimate, sigma, evals, converged).
+    whole, so results match drawing every round from one engine. With
+    streams > 1, h sees (m, 10) rows with stratum coordinates (`_points`)
+    and a row costs `streams` evals. target_fn maps the current bulk
+    estimate to the absolute sigma target; returns (estimate, sigma, evals,
+    converged).
     """
-    block = _first_round(int(spec.seed))[0].base
+    seed, strata = int(spec.seed), streams > 1
+    block = _first_round(seed, strata)[0].base
     engines = []
 
     def sample(rnd, m):
         if rnd == 0:
             return [np.sum(v) for v in h(block.T).reshape(_RQMC_REPS, m)]
         if not engines:
-            engines.extend(_sobol(spec.seed, rep).fast_forward(_RQMC_FIRST)
+            engines.extend([e.fast_forward(_RQMC_FIRST)
+                            for e in _engines(seed, rep, strata)]
                            for rep in range(_RQMC_REPS))
-        return [np.sum(h(_ball_points(e.random(m)).T)) for e in engines]
+        return [np.sum(h(_points(e, m).T)) for e in engines]
 
     return _replicated_mean(sample, _RQMC_REPS, _RQMC_FIRST, True,
-                            unit_ball_volume(3), budget, target_fn)
+                            unit_ball_volume(3), budget, target_fn, streams)
+
+
+def _clusters(positions, weights):
+    """Crowded poles that get strata: arrays (centres, |W_C|, radii a).
+
+    Single-linkage levels are walked up from the closest pair. A cluster
+    qualifies when a = _CLUSTER_K times its diameter is below _HALO and at
+    most half the distance from its centre (the |w|-weighted mean, inside
+    the cluster whatever the signs) to every other pole; each pole joins
+    its finest qualifying cluster. None when no cluster qualifies.
+    """
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    taken = np.zeros(len(weights), dtype=bool)
+    found = []
+    for gap in np.unique(dist[(dist > 0.0) & (dist * _CLUSTER_K < _HALO)]):
+        labels = _cluster_labels(positions, np.nextafter(gap, np.inf))
+        for members in (labels == lab for lab in np.unique(labels)):
+            a = _CLUSTER_K * np.max(dist[np.ix_(members, members)])
+            w = np.abs(weights[members])
+            centre = np.sum(w[:, None] * positions[members], axis=0) / np.sum(w)
+            rest = positions[~members] - centre
+            if (0.0 < a < _HALO and not np.any(taken[members])
+                    and np.all(np.sum(rest * rest, axis=1) >= 4.0 * a * a)):
+                taken |= members
+                found.append((centre, abs(np.sum(weights[members])), a))
+    return [np.array(v) for v in zip(*found)] if found else None
+
+
+def _strata_residual(residual, centres, wabs, radii, pts):
+    """Residual less the ring surrogates, per (m, 10) row of `_points`: the
+    bulk point outside every halo plus, inside the ball and nearest their
+    centre, a cluster's inner-ball and halo points times their volume
+    elements over the ball's, a^3 and 3 rho^3 ln(_HALO/a)."""
+
+    def value(x, owner):
+        # rings are 0 below a/2: the floor only stops 0/0 on a centre
+        _, r2 = _offsets(centres, x)
+        rho = np.sqrt(r2)
+        ring = _cutoff(rho, 0.5) - _cutoff(rho, radii[:, None])
+        ring *= wabs[:, None] / np.maximum(r2, 1e-300)
+        out = residual(x) - _pole_sum(ring)
+        if owner < 0:
+            out[np.min(r2, axis=0) < _HALO * _HALO] = 0.0
+        else:
+            out[(np.argmin(r2, axis=0) != owner)
+                | (np.sum(x * x, axis=1) >= 1.0)] = 0.0
+        return out
+
+    total = value(pts[:, :3], -1)
+    for c, (centre, a) in enumerate(zip(centres, radii)):
+        total += a ** 3 * value(centre + a * pts[:, 3:6], c)
+        rho = a * (_HALO / a) ** pts[:, 9]
+        total += (3.0 * math.log(_HALO / a) * rho ** 3
+                  * value(centre + rho[:, None] * pts[:, 6:9], c))
+    return total
 
 
 def _energy_rqmc_3d(config, spec):
@@ -517,13 +604,26 @@ def _energy_rqmc_3d(config, spec):
     t = np.sqrt(np.sum(positions * positions, axis=1))
     mass = float(np.sum(np.abs(weights) * _surrogate_mass(t, supports)))
 
-    residual = functools.partial(_residual_3d, positions, weights, supports)
+    h = functools.partial(_residual_3d, positions, weights, supports)
+    # no pole gap below _HALO / _CLUSTER_K (< 0.5): no cluster qualifies
+    clusters = (_clusters(positions, weights)
+                if np.min(supports) * _CLUSTER_K < _HALO else None)
+    streams = 1
+    if clusters is not None:
+        # each cluster's ring surrogate |W_C| (c_0.5 - c_a)(rho)/rho^2
+        centres, wabs, radii = clusters
+        tc = np.sqrt(np.sum(centres * centres, axis=1))
+        mass += float(np.sum(wabs * (_surrogate_mass(tc, 0.5)
+                                     - _surrogate_mass(tc, radii))))
+        h = functools.partial(_strata_residual, h, *clusters)
+        streams += 2 * len(radii)
 
     def target(bulk_est):
         return max(0.75 * spec.rel_tolerance * abs(mass + bulk_est), 1e-14)
 
-    budget = max(spec.max_evals, _RQMC_REPS * _RQMC_FIRST)
-    bulk, sigma, evals, converged = _rqmc_bulk(residual, spec, budget, target)
+    budget = max(spec.max_evals, _RQMC_REPS * _RQMC_FIRST * streams)
+    bulk, sigma, evals, converged = _rqmc_bulk(h, spec, budget, target,
+                                               streams)
     return QuadratureResult(float(mass + bulk), sigma, evals, converged, "rqmc")
 
 

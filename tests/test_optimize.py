@@ -197,9 +197,9 @@ class TestOptimizerPins:
 
     @pytest.mark.parametrize("d, evaluations, events, n_improve", [
         (2, 109, [_merge(29), _restart(30), _merge(57), _restart(58),
-                  _merge(83), _restart(84), _merge(109)], 17),
+                  _merge(83), _restart(84), _merge(109)], 16),
         (3, 107, [_merge(30), _restart(31), _merge(55), _restart(56),
-                  _merge(79), _restart(80), _merge(107)], 11),
+                  _merge(79), _restart(80), _merge(107)], 10),
     ], ids=["d2", "d3"])
     def test_merge_run(self, monkeypatch, d, evaluations, events, n_improve):
         # no real-energy run collides, so an attractive surrogate drives
@@ -213,6 +213,9 @@ class TestOptimizerPins:
             "events": events}
         assert [it.event for it in trace.iterates] == (
             ["start"] + ["improve"] * n_improve + ["merge"] * 4)
+        # the first merge improves on the best and is recorded once
+        assert all(a.config is not b.config
+                   for a, b in zip(trace.iterates, trace.iterates[1:]))
         assert trace.best_energy.hex() == "0x1.0000000000000p+0"
 
 

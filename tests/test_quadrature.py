@@ -139,17 +139,73 @@ class TestSinglePole3d:
         assert abs(res.value - expect) <= max(4.0 * res.error, 3e-3 * expect)
 
 
+def _coaxial_pair(delta, w2):
+    return ChargeConfiguration([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5 + delta]],
+                               [1.0, w2])
+
+
+# a lone charge's default-spec call stops after its first round
+_SINGLE_CHARGE_EVALS = 32768
+
+
 class TestCoaxialPair3d:
     """Crowded poles, same and opposite signs, at the default spec."""
 
     @pytest.mark.parametrize("delta,w2", sorted(FROZEN_COAXIAL_PAIR_3D))
     def test_against_nested_quad(self, delta, w2):
-        cfg = ChargeConfiguration([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5 + delta]],
-                                  [1.0, w2])
+        cfg = _coaxial_pair(delta, w2)
         res = chui_energy(cfg, QuadratureSpec())
         expect = FROZEN_COAXIAL_PAIR_3D[(delta, w2)]
         assert res.converged
         assert abs(res.value - expect) <= max(4.0 * res.error, 3e-3 * expect)
+
+    # pairs 1e-2 or closer get cluster strata: within 4 sigma of the
+    # oracle, without the relative floor above, and same-sign pairs within
+    # five times a lone charge's evals
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("delta,w2", sorted(
+        k for k in FROZEN_COAXIAL_PAIR_3D if k[0] <= 1e-2))
+    def test_crowded_at_seeds(self, delta, w2, seed):
+        res = chui_energy(_coaxial_pair(delta, w2), QuadratureSpec(seed=seed))
+        assert res.converged
+        assert abs(res.value - FROZEN_COAXIAL_PAIR_3D[(delta, w2)]) <= (
+            4.0 * res.error)
+        if w2 > 0.0:
+            assert res.evals <= 5 * _SINGLE_CHARGE_EVALS
+
+    def test_seed_15_regression(self):
+        # all 8 replicates of the plain bulk missed this pair's spike and
+        # stopped "converged" 25 sigma low
+        res = chui_energy(_coaxial_pair(0.005, 1.0), QuadratureSpec(seed=15))
+        expect = FROZEN_COAXIAL_PAIR_3D[(0.005, 1.0)]
+        assert not res.converged or abs(res.value - expect) <= 3.0 * res.error
+
+    def test_two_level_clusters(self):
+        # two 1e-4 pairs 1e-2 apart are two clusters. The reference merges
+        # each pair into a charge of weight 2 and adds back what merging
+        # moves for a lone 1e-4 pair (-9.0e-4 each, about half the error
+        # bar); the pairs' fields barely overlap where that change arises
+        cfg = ChargeConfiguration([[0.0, 0.0, z] for z in
+                                   (0.5, 0.5001, 0.51, 0.5101)], np.ones(4))
+        res = chui_energy(cfg, QuadratureSpec(seed=4))
+        unmerge = (FROZEN_COAXIAL_PAIR_3D[(1e-4, 1.0)]
+                   - 2.0 * FROZEN_SINGLE_3D[0.5])
+        expect = 2.0 * (FROZEN_COAXIAL_PAIR_3D[(0.01, 1.0)] + unmerge)
+        assert res.converged and res.evals == 5 * 8 * 4096
+        assert abs(res.value - expect) <= 3.0 * res.error
+
+    @pytest.mark.parametrize("w2", [1.0, 0.5])
+    def test_pair_on_sphere(self, w2):
+        # half of each stratum lies outside the ball and contributes 0
+        half = 0.5e-6
+        cfg = ChargeConfiguration([[math.sin(half), 0.0, math.cos(half)],
+                                   [-math.sin(half), 0.0, math.cos(half)]],
+                                  [1.0, w2])
+        assert cfg.all_boundary
+        res = chui_energy(cfg, QuadratureSpec(seed=5))
+        expect = single_pole_energy_3d(1.0) * (1.0 + w2)
+        assert res.converged
+        assert abs(res.value - expect) <= 3.0 * res.error
 
 
 class TestNearSpherePole:
@@ -638,6 +694,14 @@ class TestStochasticPins:
                                             QuadratureSpec(seed=7)),
                         "0x1.b8ebd453af278p+4", "0x1.409ff3f4dc0a6p-8",
                         32768, True),
+        "fibonacci_16": (lambda: chui_energy(fibonacci_sphere_config(16),
+                                             QuadratureSpec(seed=7)),
+                         "0x1.36640e74d0c83p+5", "0x1.47e41e1c9858dp-7",
+                         32768, True),
+        "fibonacci_25": (lambda: chui_energy(fibonacci_sphere_config(25),
+                                             QuadratureSpec(seed=7)),
+                         "0x1.918afbffd1f7fp+5", "0x1.09d20a2a3d923p-7",
+                         32768, True),
         "interior3_4": (lambda: chui_energy(
             random_config(4, 3, seed=13, interior=True),
             QuadratureSpec(seed=7)),
@@ -657,11 +721,16 @@ class TestStochasticPins:
             random_config(5, 4, seed=4, interior=True),
             QuadratureSpec(rel_tolerance=1e-4, max_evals=300_000, seed=7)),
             "0x1.c587b6a3b1cc7p+5", "0x1.8a0281809db23p-5", 262144, False),
+        "budget3_fibonacci_16": (lambda: chui_energy(
+            fibonacci_sphere_config(16),
+            QuadratureSpec(rel_tolerance=1e-5, max_evals=400_000, seed=7)),
+            "0x1.3657f62d57cb2p+5", "0x1.ce69b708df7a8p-11", 262144, False),
+        # a crowded pair: one cluster, whose strata end it in round 0
         "budget3_pair": (lambda: chui_energy(
             ChargeConfiguration([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5001]],
                                 [1.0, 1.0]),
             QuadratureSpec(max_evals=400_000, seed=7)),
-            "0x1.6c4f88413a137p+4", "0x1.4496564789e2cp-3", 262144, False),
+            "0x1.6eb2b4c74b491p+4", "0x1.068a3a24c5ec9p-10", 98304, True),
         # the Monte Carlo path forced in d = 2 (poles at the origin, inside
         # with a negative weight and on the circle) and in d = 3
         "mc2_forced": (lambda: chui_energy(
@@ -681,6 +750,30 @@ class TestStochasticPins:
         res = run()
         assert (res.value.hex(), res.error.hex(), res.evals,
                 res.converged) == (value, error, evals, converged)
+
+    # every d = 3 case without crowded poles
+    LONE_POLES_3D = ("single3_0.5", "fibonacci_9", "fibonacci_16",
+                     "fibonacci_25", "interior3_4", "zones3_mixed",
+                     "budget3_fibonacci_16", "mc3_forced")
+
+    def test_lone_poles_skip_strata(self, monkeypatch):
+        # without a cluster, no stratum code runs and the bits are those of
+        # the bulk alone
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cluster code ran")
+
+        def bulk_engines(seed, rep, strata):
+            assert not strata, "stratum engines built"
+            return engines(seed, rep, strata)
+
+        engines = quadrature._engines
+        monkeypatch.setattr(quadrature, "_clusters", forbidden)
+        monkeypatch.setattr(quadrature, "_strata_residual", forbidden)
+        monkeypatch.setattr(quadrature, "_engines", bulk_engines)
+        _first_round.cache_clear()
+        for case in self.LONE_POLES_3D:
+            assert _result_bits(self.CASES[case][0]()) == _pinned(case), case
+
 
 def _pinned(case):
     run, value, error, evals, converged = TestStochasticPins.CASES[case]
@@ -742,7 +835,7 @@ class TestFirstRoundCache:
         # than cores, started together on an empty cache with frequent
         # thread switches
         _first_round.cache_clear()
-        cases = ("budget3_pair", "single3_0.5", "interior3_4",
+        cases = ("budget3_fibonacci_16", "single3_0.5", "interior3_4",
                  "zones3_mixed")
         got = {}
         start = threading.Barrier(len(cases))
@@ -770,8 +863,12 @@ class TestFirstRoundCache:
         _first_round.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = TestStochasticPins.CASES["budget3_pair"][0]()
-        assert _result_bits(res) == _pinned("budget3_pair")
+            res = TestStochasticPins.CASES["budget3_fibonacci_16"][0]()
+            # the stratum engines fast-forward the same way
+            pair = chui_energy(_coaxial_pair(1e-4, -1.0),
+                               QuadratureSpec(rel_tolerance=1e-4, seed=7))
+        assert _result_bits(res) == _pinned("budget3_fibonacci_16")
+        assert pair.evals > 3 * 8 * 4096
 
 
 def test_import_defers_scipy_stats():
