@@ -38,7 +38,7 @@ every certificate test in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import json
 import math
 
@@ -76,6 +76,10 @@ NEWMAN_CONSTANT = math.pi / 18.0
 
 # slack for closed-ball membership decisions on sampled points
 _MEMBERSHIP_TOL = 1e-12
+
+# rounding slack of the pass rule: a proof-inequality margin fails only
+# beyond it
+_MARGIN_TOL = 1e-12
 
 # the dominance suite draws configurations of 1 to this many charges
 _DOMINANCE_N_MAX = 8
@@ -308,7 +312,7 @@ def dominance_check(config: ChargeConfiguration, x) -> DominanceReport:
     k, min_margin, sum_margin = _dominance_margins(
         geo.positions, geo.weights, geo.radii, geo.G, x, member, geo.dimension)
     min_margin, sum_margin = float(min_margin), float(sum_margin)
-    holds = min_margin >= -1e-12 and sum_margin >= -1e-12
+    holds = min_margin >= -_MARGIN_TOL and sum_margin >= -_MARGIN_TOL
     return DominanceReport(selected=int(k), min_margin=min_margin,
                            sum_margin=sum_margin, holds=holds)
 
@@ -352,7 +356,9 @@ def reduction_budget(config: ChargeConfiguration, partition: ArcPartition,
 
     The defect integral depends on the arc only through its length (the
     whole picture is rotation-equivariant), so each distinct length is
-    integrated once, on a centered arc.
+    integrated once, on a centered arc. Lengths are told apart by their
+    weight fraction 2 pi w / A: the partition's cumulative sums can split
+    equal arcs by an ulp.
     """
     spec = spec or QuadratureSpec()
     if config.dimension != 2:
@@ -368,25 +374,19 @@ def reduction_budget(config: ChargeConfiguration, partition: ArcPartition,
     if np.any(np.abs(np.angle(np.exp(1j * (mids - angles)))) > 1e-9):
         raise ValueError("charges must sit at the arc midpoints")
 
-    cache: dict[float, QuadratureResult] = {}
-    defects = np.empty(len(lengths))
-    errors = np.empty(len(lengths))
-    evals = 0
-    for i, l in enumerate(lengths):
-        key = float(l)
-        if key not in cache:
-            half = 0.5 * key
-            cache[key] = l1_defect(1.0, (-half, half), spec)
-            evals += cache[key].evals
-        defects[i] = cache[key].value
-        errors[i] = cache[key].error
+    _, first, inverse = np.unique(expected, return_index=True,
+                                  return_inverse=True)
+    results = [l1_defect(1.0, (-0.5 * lengths[i], 0.5 * lengths[i]), spec)
+               for i in first]
+    defects = np.array([res.value for res in results])[inverse]
+    errors = np.array([res.error for res in results])[inverse]
     scale = stats.A / TWO_PI
     value = scale * float(np.sum(lengths * defects))
     error = scale * float(np.sum(lengths * errors))
-    converged = all(res.converged for res in cache.values())
-    return ReductionBudget(value=value, error=error, evals=evals,
+    return ReductionBudget(value=value, error=error,
+                           evals=sum(res.evals for res in results),
                            lengths=lengths.copy(), defects=defects,
-                           converged=converged)
+                           converged=all(res.converged for res in results))
 
 
 # ---------------------------------------------------------------------------
@@ -403,42 +403,30 @@ def _verdict(margin: float, err: float) -> str:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Energy plus every applicable bound, with per-bound verdicts."""
+    """Energy plus every applicable bound, with per-bound verdicts.
+
+    `bounds` and `verdicts` share their keys, the JSON names of the bounds:
+    `lower_theorem11` always; `lower_newman`, `upper_budget` and
+    `lemma41_lhs` when they apply. `budget` is the reduction budget behind
+    `upper_budget`, or None.
+    """
 
     energy: QuadratureResult
     stats: WeightStats
-    lower_newman: float | None
-    lower_weighted: float
-    upper_budget: float | None
-    upper_budget_error: float | None
-    interior_bound: float | None
+    bounds: dict
     verdicts: dict
-    upper_budget_converged: bool = True
+    budget: ReductionBudget | None
 
     @property
     def converged(self) -> bool:
         """True when the energy and every defect integral met tolerance."""
-        return self.energy.converged and self.upper_budget_converged
+        return self.energy.converged and (self.budget is None
+                                          or self.budget.converged)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "energy": self.energy.value,
-            "err": self.energy.error,
-            "A": self.stats.A,
-            "B": self.stats.B,
-            "G": self.stats.G,
-            "ratio_lower": self.stats.ratio_lower,
-            "ratio_upper": self.stats.ratio_upper,
-            "lower_theorem11": self.lower_weighted,
-            "verdicts": dict(self.verdicts),
-        }
-        if self.lower_newman is not None:
-            out["lower_newman"] = self.lower_newman
-        if self.upper_budget is not None:
-            out["upper_budget"] = self.upper_budget
-        if self.interior_bound is not None:
-            out["lemma41_lhs"] = self.interior_bound
-        return out
+        return {"energy": self.energy.value, "err": self.energy.error,
+                **asdict(self.stats), **self.bounds,
+                "verdicts": dict(self.verdicts)}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -452,46 +440,28 @@ def make_bound_report(config: ChargeConfiguration,
     if not config.is_positive:
         raise ValueError("bound reports require positive weights")
     energy = chui_energy(config, spec)
-    stats = WeightStats.from_weights(config.weights, config.dimension)
-    verdicts = {}
+    d = config.dimension
+    bounds = {"lower_theorem11": lower_bound_rhs(config.weights, d,
+                                                 proof_constant(d))}
+    if d == 2 and config.is_unit_weight and config.all_boundary:
+        bounds["lower_newman"] = NEWMAN_CONSTANT
+    if d == 2 and (interior := interior_pole_bound(config)) is not None:
+        bounds["lemma41_lhs"] = interior
+    verdicts = {name: _verdict(energy.value - value, energy.error)
+                for name, value in bounds.items()}
 
-    lower_weighted = proof_constant(config.dimension) * stats.ratio_lower
-    verdicts["lower_theorem11"] = _verdict(energy.value - lower_weighted,
-                                           energy.error)
-
-    lower_newman = None
-    if (config.dimension == 2 and config.is_unit_weight
-            and config.all_boundary):
-        lower_newman = NEWMAN_CONSTANT
-        verdicts["lower_newman"] = _verdict(energy.value - lower_newman,
-                                            energy.error)
-
-    upper_budget = None
-    upper_budget_error = None
-    budget_converged = True
+    budget = None
     if partition is not None:
         budget = reduction_budget(config, partition, spec)
-        upper_budget = budget.value
-        upper_budget_error = budget.error
-        budget_converged = budget.converged
+        bounds["upper_budget"] = budget.value
         # an unconverged defect's error figure does not bound its error
-        verdicts["upper_budget"] = (_verdict(upper_budget - energy.value,
+        verdicts["upper_budget"] = (_verdict(budget.value - energy.value,
                                              energy.error + budget.error)
                                     if budget.converged else "inconclusive")
 
-    interior = None
-    if config.dimension == 2:
-        interior = interior_pole_bound(config)
-        if interior is not None:
-            verdicts["lemma41_lhs"] = _verdict(energy.value - interior,
-                                               energy.error)
-
-    return BoundReport(energy=energy, stats=stats, lower_newman=lower_newman,
-                       lower_weighted=lower_weighted,
-                       upper_budget=upper_budget,
-                       upper_budget_error=upper_budget_error,
-                       interior_bound=interior, verdicts=verdicts,
-                       upper_budget_converged=budget_converged)
+    return BoundReport(energy=energy,
+                       stats=WeightStats.from_weights(config.weights, d),
+                       bounds=bounds, verdicts=verdicts, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +539,7 @@ def run_dominance_suite(trials: int, d: int, seed: int) -> tuple[int, float]:
         member[rows, target] = True  # sampled strictly inside; guard fp edge
         _, margins, sum_margins = _dominance_margins(pos, w, radii, G, x,
                                                      member, d)
-        bad = (margins < -1e-12) | (sum_margins < -1e-12)
+        bad = (margins < -_MARGIN_TOL) | (sum_margins < -_MARGIN_TOL)
         failures += int(np.sum(bad))
         worst = min(worst, float(np.min(margins)), float(np.min(sum_margins)))
     return failures, worst
@@ -577,13 +547,23 @@ def run_dominance_suite(trials: int, d: int, seed: int) -> tuple[int, float]:
 
 def run_lemma_suites(trials: int = 100_000, seed: int = 0,
                      dims=(2, 3)) -> dict:
-    """All four property suites; returns {suite: {dim: extreme value}} plus
-    dominance failure counts. Used by the CLI and the acceptance tests."""
-    out = {"poisson": {}, "tangent": {}, "ratio": {}, "dominance": {}}
+    """All four property suites per dimension, keyed "d2", "d3", ...
+
+    Each entry holds the suites' extreme values, the dominance failure
+    count and `pass`: no gap below -_MARGIN_TOL, no ratio margin above
+    _MARGIN_TOL and no dominance failure. Used by the CLI and the
+    acceptance tests.
+    """
+    out = {}
     for d in dims:
-        out["poisson"][d] = run_poisson_suite(trials, d, seed)
-        out["tangent"][d] = run_tangent_suite(trials, d, seed)
-        out["ratio"][d] = run_ratio_suite(trials, d, seed)
-        fails, worst = run_dominance_suite(trials, d, seed)
-        out["dominance"][d] = {"failures": fails, "min_margin": worst}
+        entry = {"poisson_min_gap": run_poisson_suite(trials, d, seed),
+                 "tangent_min_gap": run_tangent_suite(trials, d, seed),
+                 "ratio_max_margin": run_ratio_suite(trials, d, seed)}
+        entry["dominance_failures"], entry["dominance_min_margin"] = (
+            run_dominance_suite(trials, d, seed))
+        entry["pass"] = (entry["poisson_min_gap"] >= -_MARGIN_TOL
+                         and entry["tangent_min_gap"] >= -_MARGIN_TOL
+                         and entry["ratio_max_margin"] <= _MARGIN_TOL
+                         and entry["dominance_failures"] == 0)
+        out[f"d{d}"] = entry
     return out

@@ -12,7 +12,8 @@ verify-all    bound reports over the bundled corpus + suites + sweeps
               + optimizer smoke checks; nonzero exit on any violation
 
 Exit codes: 0 ok, 1 bound/property violation, 2 input or parse error,
-3 quadrature failed to converge within its budget.
+3 quadrature failed to converge within its budget. A violation outranks
+nonconvergence: a run with both exits 1.
 
 Every artifact embeds tool version, seed, integration spec, and a
 wall-clock stamp; reruns with equal inputs differ only in the stamp.
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (interior_pole_bound, make_bound_report, run_lemma_suites)
+from .bounds import make_bound_report, run_lemma_suites
 from .configurations import (ChargeConfiguration, config_from_json_dict,
                              config_to_json_dict, fibonacci_sphere_config,
                              load_config, uniform_circle_config,
@@ -53,6 +54,14 @@ EXIT_PARSE = 2
 EXIT_NONCONVERGED = 3
 
 TWO_PI = 2.0 * math.pi
+
+
+def _exit_code(violated: bool, converged: bool) -> int:
+    """The one exit rule: a violation exits 1 even when some integral also
+    missed its tolerance, which alone exits 3."""
+    if violated:
+        return EXIT_VIOLATION
+    return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
 class CliError(Exception):
@@ -234,7 +243,7 @@ def _cmd_energy(args) -> int:
                 "degraded": res.degraded})
     _emit(doc, ("energy", "err", "evals", "converged", "method"),
           [(res.value, res.error, res.evals, res.converged, res.method)], args)
-    return EXIT_OK if res.converged else EXIT_NONCONVERGED
+    return _exit_code(False, res.converged)
 
 
 _BOUNDS_COLUMNS = ("energy", "err", "A", "B", "G", "ratio_lower", "ratio_upper",
@@ -254,11 +263,8 @@ def _cmd_bounds(args) -> int:
     doc["report"] = rd
     _emit(doc, _BOUNDS_COLUMNS, [tuple(rd.get(c) for c in _BOUNDS_COLUMNS)],
           args)
-    if not report.converged:
-        return EXIT_NONCONVERGED
-    if any(v == "violated" for v in report.verdicts.values()):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _exit_code("violated" in report.verdicts.values(),
+                      report.converged)
 
 
 def _defect_rows(levels: int, spec: QuadratureSpec):
@@ -302,28 +308,7 @@ def _cmd_sweep(args) -> int:
     doc = _meta(args.command, args, spec)
     doc["rows"] = rows
     _emit(doc, columns, [tuple(r[c] for c in columns) for r in rows], args)
-    return EXIT_OK if converged else EXIT_NONCONVERGED
-
-
-def _lemma_suite_doc(trials: int, seed: int) -> tuple:
-    res = run_lemma_suites(trials, seed, dims=(2, 3))
-    ok = True
-    suites = {}
-    for d in (2, 3):
-        entry = {
-            "poisson_min_gap": res["poisson"][d],
-            "tangent_min_gap": res["tangent"][d],
-            "ratio_max_margin": res["ratio"][d],
-            "dominance_failures": res["dominance"][d]["failures"],
-            "dominance_min_margin": res["dominance"][d]["min_margin"],
-        }
-        entry["pass"] = (entry["poisson_min_gap"] >= -1e-12
-                         and entry["tangent_min_gap"] >= -1e-12
-                         and entry["ratio_max_margin"] <= 1e-12
-                         and entry["dominance_failures"] == 0)
-        ok = ok and entry["pass"]
-        suites[f"d{d}"] = entry
-    return suites, ok
+    return _exit_code(False, converged)
 
 
 def _cmd_lemma_suite(args) -> int:
@@ -331,11 +316,11 @@ def _cmd_lemma_suite(args) -> int:
         raise CliError("--trials must be positive")
     spec = _make_spec(args)  # recorded for provenance; suites are closed-form
     doc = _meta("lemma-suite", args, spec)
-    suites, ok = _lemma_suite_doc(args.trials, args.seed)
+    suites = run_lemma_suites(args.trials, args.seed)
     doc["trials"] = args.trials
     doc["suites"] = suites
     _emit_json(doc, args.out)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return _exit_code(not all(s["pass"] for s in suites.values()), True)
 
 
 def _cmd_optimize(args) -> int:
@@ -375,17 +360,15 @@ def corpus_configs():
     return out
 
 
-def _check(checks, name, ok, detail) -> bool:
+def _check(checks, name, ok, detail) -> None:
     checks.append({"name": name, "status": "pass" if ok else "fail",
                    "detail": detail})
-    return ok
 
 
 def _cmd_verify_all(args) -> int:
     spec = _make_spec(args)
     checks = []
-    all_ok = True
-    nonconverged = False
+    converged = True
     log = lambda msg: print(msg, file=sys.stderr)
 
     # corpus bound reports
@@ -402,10 +385,10 @@ def _cmd_verify_all(args) -> int:
         report = make_bound_report(cfg, spec, partition=part)
         rd = report.to_json_dict()
         reports[row["file"]] = rd
-        nonconverged = nonconverged or not report.converged
+        converged = converged and report.converged
         bad = sorted(k for k, v in report.verdicts.items() if v == "violated")
-        all_ok &= _check(checks, f"bounds:{row['file']}", not bad,
-                         {"violated": bad, "energy": rd["energy"]})
+        _check(checks, f"bounds:{row['file']}", not bad,
+               {"violated": bad, "energy": rd["energy"]})
         if row["role"] == "weighted_arc":
             ratios.append(rd["energy"] * rd["A"] / rd["B"])
 
@@ -415,40 +398,41 @@ def _cmd_verify_all(args) -> int:
                                      ("single-d3", [0.0, 0.0, 1.0], TWO_PI),
                                      ("interior-origin", [0.0, 0.0], TWO_PI)):
         energy = chui_energy(ChargeConfiguration([position], [1.0]), spec).value
-        all_ok &= _check(checks, f"oracle:{name}",
-                         abs(energy - expected) <= expected * 1e-2,
-                         {"energy": energy, "expected": expected})
+        _check(checks, f"oracle:{name}",
+               abs(energy - expected) <= expected * 1e-2,
+               {"energy": energy, "expected": expected})
 
     # defect sweep: finite ratios, no blow-up at small arc lengths
     log("[verify-all] defect sweep")
     drows, conv = _defect_rows(10, spec)
-    nonconverged = nonconverged or not conv
+    converged = converged and conv
     dratios = [r["defect_over_l"] for r in drows]
     median = float(np.median(dratios))
-    all_ok &= _check(checks, "sweep:defect",
-                     all(np.isfinite(dratios)) and dratios[-1] <= 10.0 * median,
-                     {"anchor": dratios[0], "median": median, "last": dratios[-1]})
+    _check(checks, "sweep:defect",
+           all(np.isfinite(dratios)) and dratios[-1] <= 10.0 * median,
+           {"anchor": dratios[0], "median": median, "last": dratios[-1]})
 
     # weighted-arc ratio boundedness against the sweep grid
     if ratios:
         cap = TWO_PI * max(dratios)
         worst = max(ratios)
-        all_ok &= _check(checks, "bounds:arc-ratio-bounded", worst <= cap + 1e-6,
-                         {"max_energy_A_over_B": worst, "cap": cap})
+        _check(checks, "bounds:arc-ratio-bounded", worst <= cap + 1e-6,
+               {"max_energy_A_over_B": worst, "cap": cap})
 
     # two-pole cancellation sweep: normalized values stay within one decade
     log("[verify-all] two-pole sweep")
     prows, conv = _prop14_rows(10, spec)
-    nonconverged = nonconverged or not conv
+    converged = converged and conv
     normalized = [r["normalized"] for r in prows]
-    all_ok &= _check(checks, "sweep:two-pole",
-                     max(normalized) <= 10.0 * min(normalized),
-                     {"min": min(normalized), "max": max(normalized)})
+    _check(checks, "sweep:two-pole",
+           max(normalized) <= 10.0 * min(normalized),
+           {"min": min(normalized), "max": max(normalized)})
 
     # randomized proof-inequality suites
     log("[verify-all] lemma suites")
-    suites, ok = _lemma_suite_doc(100_000, args.seed)
-    all_ok &= _check(checks, "suites:lemmas", ok, suites)
+    suites = run_lemma_suites(100_000, args.seed)
+    _check(checks, "suites:lemmas", all(s["pass"] for s in suites.values()),
+           suites)
 
     # optimizer smoke: antipodal pair + flat gradient at uniform spacing
     log("[verify-all] optimizer smoke")
@@ -457,15 +441,15 @@ def _cmd_verify_all(args) -> int:
     ang = np.sort(trace.best.angles())
     gap = float(ang[1] - ang[0])
     gap = min(gap, TWO_PI - gap)
-    all_ok &= _check(checks, "optimize:pair-gap", abs(gap - math.pi) <= 0.05,
-                     {"gap": gap})
+    _check(checks, "optimize:pair-gap", abs(gap - math.pi) <= 0.05,
+           {"gap": gap})
     cert = local_min_certificate(uniform_circle_config(3),
                                  spec=QuadratureSpec(rel_tolerance=1e-5,
                                                      seed=args.seed))
-    all_ok &= _check(checks, "optimize:uniform3-certificate",
-                     cert.max_gradient <= cert.gradient_error,
-                     {"max_gradient": cert.max_gradient,
-                      "bar": cert.gradient_error, "verdict": cert.verdict})
+    _check(checks, "optimize:uniform3-certificate",
+           cert.max_gradient <= cert.gradient_error,
+           {"max_gradient": cert.max_gradient,
+            "bar": cert.gradient_error, "verdict": cert.verdict})
 
     doc = _meta("verify-all", args, spec)
     doc["checks"] = checks
@@ -477,12 +461,7 @@ def _cmd_verify_all(args) -> int:
     doc["tv_ratio_infimum"] = min(ratios) if ratios else None
     doc["violations"] = sum(1 for c in checks if c["status"] == "fail")
     _emit_json(doc, args.out)
-
-    if not all_ok:
-        return EXIT_VIOLATION
-    if nonconverged:
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return _exit_code(doc["violations"] > 0, converged)
 
 
 _DISPATCH = {

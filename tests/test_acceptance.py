@@ -202,12 +202,13 @@ def test_criterion_08_lemma_suites_full_scale():
     ok = elapsed < limit_s
     details = []
     for d in (2, 3):
-        ok = ok and out["poisson"][d] >= -1e-12
-        ok = ok and out["tangent"][d] >= -1e-12
-        ok = ok and out["ratio"][d] <= 1e-12
-        ok = ok and out["dominance"][d]["failures"] == 0
+        suite = out[f"d{d}"]
+        ok = ok and suite["poisson_min_gap"] >= -1e-12
+        ok = ok and suite["tangent_min_gap"] >= -1e-12
+        ok = ok and suite["ratio_max_margin"] <= 1e-12
+        ok = ok and suite["dominance_failures"] == 0
         details.append(f"d{d} dominance min margin "
-                       f"{out['dominance'][d]['min_margin']:.3f}")
+                       f"{suite['dominance_min_margin']:.3f}")
     _verdict_line(8, "1e5-trial proof-inequality suites, zero failures", ok,
                   f"{'; '.join(details)}, elapsed {elapsed:.1f}s")
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from chargelab import bounds, cli
 from chargelab.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -162,6 +164,19 @@ class TestBoundsCommand:
         rep = json.loads(out)["report"]
         assert rep["verdicts"]["upper_budget"] == "inconclusive"
 
+    def test_violation_outranks_nonconvergence(self, capsys, monkeypatch):
+        real = cli.make_bound_report
+
+        def violated(cfg, spec, partition=None):
+            rep = real(cfg, spec, partition=partition)
+            return dataclasses.replace(
+                rep, verdicts={**rep.verdicts, "lower_theorem11": "violated"})
+
+        monkeypatch.setattr(cli, "make_bound_report", violated)
+        # the budget of test_unconverged_budget_exits_3, plus a violation
+        assert _run(capsys, "bounds", "--weights", "1,100",
+                    "--max-evals", "10000")[0] == 1
+
     def test_uniform_csv_columns(self, capsys):
         code, out, _ = _run(capsys, "bounds", "--uniform", "2",
                             "--format", "csv")
@@ -235,6 +250,14 @@ class TestLemmaSuite:
         for key in ("d2", "d3"):
             assert doc["suites"][key]["pass"] is True
             assert doc["suites"][key]["dominance_failures"] == 0
+
+    def test_failing_suite_exits_1(self, capsys, monkeypatch):
+        # a margin just past the pass rule's 1e-12 slack fails the suite
+        monkeypatch.setattr(bounds, "run_ratio_suite",
+                            lambda trials, d, seed: 1e-9)
+        code, out, _ = _run(capsys, "lemma-suite", "--trials", "2000")
+        assert code == 1
+        assert json.loads(out)["suites"]["d2"]["pass"] is False
 
     def test_trials_guard(self, capsys):
         assert _run(capsys, "lemma-suite", "--trials", "0")[0] == 2
