@@ -1,15 +1,17 @@
 """Adaptive tensor-product Gauss-Kronrod cubature over mapped unit boxes.
 
-Internal engine. A `Region` is one row of a *family*: regions that differ
-only in their parameters share one vectorized integrand over [0,1]^D, called
-as `fn(x, rows)`, where `rows[i]` is the row of point `x[i]`'s region in a
-parameter table the integrand closes over. The values already include the
-geometric Jacobian of whatever map produced them. A region on its own is a
-one-row family (row 0). `integrate_regions` runs one global refinement loop
-over every region at once, bisecting the worst cells along their worst axis
-until the summed Kronrod-vs-Gauss error estimate meets the relative tolerance
-or the evaluation budget runs out. Deterministic: cell ordering, tie-breaking
-and summation order are fixed functions of the inputs.
+Internal engine. Every region is one row of a *family*: regions that differ
+only in their parameters share one vectorized integrand over [0,1]^dim,
+called as `fn(x, rows)`, where `rows[i]` is the row of point `x[i]`'s region
+in a parameter table the integrand closes over. The values already include
+the geometric Jacobian of whatever map produced them. A caller describes its
+regions as a table of (family index, row) pairs, plus the axis-0 cuts of the
+few regions that need them; a lone region is a one-row family.
+`integrate_regions` runs one global refinement loop over every region at
+once, bisecting the worst cells along their worst axis until the summed
+Kronrod-vs-Gauss error estimate meets the relative tolerance or the
+evaluation budget runs out. Deterministic: cell ordering, tie-breaking and
+summation order are fixed functions of the inputs.
 
 Cells are evaluated family by family, one integrand call per bounded chunk
 of cells, so a decomposition into hundreds of small regions costs a handful
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["Region", "CubatureResult", "integrate_regions", "integrate_1d"]
+__all__ = ["CubatureResult", "integrate_regions", "integrate_1d"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (QUADPACK dqk15).
 _XGK_HALF = np.array([
@@ -82,29 +84,6 @@ def _tensor_tables(dim):
     return nodes, np.stack(rows, axis=0)
 
 
-class Region:
-    """Row `row` of the family of regions sharing the integrand `fn`.
-
-    `fn(x, rows)` maps an (m, dim) array of region coordinates and the (m,)
-    family rows of their regions to (m,) values that include all Jacobian
-    factors. It is only ever called on strictly interior points of
-    [0,1]^dim. `cuts` gives optional mandatory initial cuts per axis.
-    """
-
-    __slots__ = ("fn", "dim", "cuts", "row")
-
-    def __init__(self, fn, dim, cuts=None, row=0):
-        self.fn = fn
-        self.dim = int(dim)
-        self.cuts = [np.asarray(c, dtype=float) if c is not None else None
-                     for c in (cuts or [None] * self.dim)]
-        if len(self.cuts) != self.dim:
-            raise ValueError("cuts must supply one (possibly None) array per axis")
-        if int(row) < 0:
-            raise ValueError("a family row must be non-negative")
-        self.row = int(row)
-
-
 @dataclass
 class CubatureResult:
     value: complex
@@ -114,42 +93,47 @@ class CubatureResult:
     n_cells: int
 
 
-def _initial_boxes(region):
-    if all(c is None or c.size == 0 for c in region.cuts):
-        return np.zeros((1, region.dim)), np.ones((1, region.dim))
-    edges = []
-    for d in range(region.dim):
-        cuts = region.cuts[d]
-        if cuts is None or cuts.size == 0:
-            edges.append(np.array([0.0, 1.0]))
-        else:
-            interior = np.unique(np.clip(cuts, 0.0, 1.0))
-            interior = interior[(interior > 1e-12) & (interior < 1.0 - 1e-12)]
-            # drop near-duplicate cuts
-            if interior.size > 1:
-                keep = np.concatenate([[True], np.diff(interior) > 1e-12])
-                interior = interior[keep]
-            edges.append(np.concatenate([[0.0], interior, [1.0]]))
-    mesh = np.meshgrid(*[np.arange(e.size - 1) for e in edges], indexing="ij")
-    idx = np.stack([m.ravel() for m in mesh], axis=1)
-    lo = np.stack([edges[d][idx[:, d]] for d in range(region.dim)], axis=1)
-    hi = np.stack([edges[d][idx[:, d] + 1] for d in range(region.dim)], axis=1)
-    return lo, hi
+def _initial_cells(n_regions, cuts, dim):
+    """(region, lo, hi) of the initial cells: regions in order, and within
+    region r its pieces between the axis-0 cuts `cuts[r]` in ascending order.
+
+    Cuts within 1e-12 of the box ends or of the previous cut are dropped.
+    """
+    where = np.repeat(np.fromiter(cuts, np.int64, len(cuts)),
+                      [len(c) for c in cuts.values()])
+    pos = np.array([x for c in cuts.values() for x in c], dtype=float)
+    order = np.lexsort((pos, where))
+    where, pos = where[order], pos[order]
+    inside = (pos > 1e-12) & (pos < 1.0 - 1e-12)
+    where, pos = where[inside], pos[inside]
+    fresh = np.ones(pos.size, dtype=bool)
+    fresh[1:] = (where[1:] != where[:-1]) | (np.diff(pos) > 1e-12)
+    where, pos = where[fresh], pos[fresh]
+    region = np.repeat(np.arange(n_regions),
+                       1 + np.bincount(where, minlength=n_regions))
+    lo = np.zeros((region.size, dim))
+    hi = np.ones((region.size, dim))
+    # kept cut i, of region w, ends cell i + w: every region has one cell
+    # more than it has kept cuts
+    at = np.arange(pos.size) + where
+    hi[at, 0] = pos
+    lo[at + 1, 0] = pos
+    return region, lo, hi
 
 
-def _evaluate(fns, fam, rows, rids, lo, hi):
+def _evaluate(fns, owner, lo, hi):
     """Tensor GK on each cell. Returns (values, per-axis errors, evals).
 
-    Region r is row `rows[r]` of the family integrand `fns[fam[r]]`.
+    Cell i is in row `owner[i, 1]` of the family integrand `fns[owner[i, 0]]`.
     """
-    m = rids.shape[0]
+    m = owner.shape[0]
     dim = lo.shape[1]
     nodes, wmat = _tensor_tables(dim)
     p = nodes.shape[0]
     vals = np.zeros(m, dtype=complex)
     errd = np.zeros((m, dim))
     chunk = max(1, _CALL_POINTS // p)
-    cell_fam = fam[rids]
+    cell_fam = owner[:, 0]
     order = np.argsort(cell_fam, kind="stable")
     starts = np.flatnonzero(np.diff(cell_fam[order])) + 1
     for sel in np.split(order, starts):
@@ -159,7 +143,7 @@ def _evaluate(fns, fam, rows, rids, lo, hi):
             span = hi[cells] - lo[cells]
             pts = lo[cells][:, None, :] + span[:, None, :] * nodes[None, :, :]
             x = pts.reshape(-1, dim)
-            raw = fn(x, np.repeat(rows[rids[cells]], p))
+            raw = fn(x, np.repeat(owner[cells, 1], p))
             v = np.asarray(raw).reshape(cells.size, p)
             scale = np.prod(span * 0.5, axis=1)
             # row 0 -> Kronrod value, row 1+d -> Gauss along axis d.
@@ -171,42 +155,33 @@ def _evaluate(fns, fam, rows, rids, lo, hi):
     return vals, errd, m * p
 
 
-def integrate_regions(regions, rel_tol, max_evals, abs_floor=1e-14, max_rounds=200):
-    """Globally adaptive cubature across heterogeneous mapped regions.
+def integrate_regions(fns, dim, regions, cuts, rel_tol, max_evals,
+                      abs_floor=1e-14, max_rounds=200):
+    """Globally adaptive cubature across the regions of several families.
 
-    All regions must share one dimension. Returns a CubatureResult whose
-    `error` is the summed Kronrod-Gauss discrepancy (a conservative estimate,
-    not a rigorous bound).
+    Region r is row `regions[r, 1]` of the family integrand
+    `fns[regions[r, 0]]` over [0,1]^dim, which is only ever called on
+    strictly interior points. `cuts` maps a region index to the axis-0
+    positions where that region is cut before refinement (regions not in it
+    start as one cell). Returns a CubatureResult whose `error` is the summed
+    Kronrod-Gauss discrepancy (a conservative estimate, not a rigorous
+    bound).
     """
-    if not regions:
+    regions = np.asarray(regions, dtype=np.int64).reshape(-1, 2)
+    if not regions.size:
         return CubatureResult(0.0, 0.0, 0, True, 0)
-    dim = regions[0].dim
-    if any(r.dim != dim for r in regions):
-        raise ValueError("all regions in one call must share a dimension")
-
-    groups = {}
-    fam = np.array([groups.setdefault(r.fn, len(groups)) for r in regions])
-    fns = list(groups)
-    rows = np.array([r.row for r in regions])
-    rid_list, lo_list, hi_list = [], [], []
-    for rid, region in enumerate(regions):
-        lo, hi = _initial_boxes(region)
-        rid_list.append(np.full(lo.shape[0], rid, dtype=np.int64))
-        lo_list.append(lo)
-        hi_list.append(hi)
-    rids = np.concatenate(rid_list)
-    lo = np.vstack(lo_list)
-    hi = np.vstack(hi_list)
-    birth = np.arange(rids.size, dtype=np.int64)
-    next_birth = rids.size
+    region, lo, hi = _initial_cells(regions.shape[0], cuts, dim)
+    owner = regions[region]
+    birth = np.arange(region.size, dtype=np.int64)
+    next_birth = region.size
 
     p = 15 ** dim
-    if (rids.size * p) > max_evals:
+    if (region.size * p) > max_evals:
         raise ValueError(
             f"max_evals={max_evals} cannot cover the initial decomposition "
-            f"({rids.size} cells x {p} nodes); raise max_evals"
+            f"({region.size} cells x {p} nodes); raise max_evals"
         )
-    vals, errd, evals = _evaluate(fns, fam, rows, rids, lo, hi)
+    vals, errd, evals = _evaluate(fns, owner, lo, hi)
     errs = errd.sum(axis=1)
 
     converged = False
@@ -232,18 +207,17 @@ def integrate_regions(regions, rel_tol, max_evals, abs_floor=1e-14, max_rounds=2
         hi_a[np.arange(n_split), axes] = mid
         lo_b, hi_b = lo[pick].copy(), hi[pick].copy()
         lo_b[np.arange(n_split), axes] = mid
-        child_r = np.concatenate([rids[pick], rids[pick]])
+        child_owner = np.vstack([owner[pick], owner[pick]])
         child_lo = np.vstack([lo_a, lo_b])
         child_hi = np.vstack([hi_a, hi_b])
         child_birth = np.arange(next_birth, next_birth + 2 * n_split, dtype=np.int64)
         next_birth += 2 * n_split
 
-        cvals, cerrd, ev = _evaluate(fns, fam, rows, child_r, child_lo,
-                                     child_hi)
+        cvals, cerrd, ev = _evaluate(fns, child_owner, child_lo, child_hi)
         evals += ev
-        keep = np.ones(rids.size, dtype=bool)
+        keep = np.ones(owner.shape[0], dtype=bool)
         keep[pick] = False
-        rids = np.concatenate([rids[keep], child_r])
+        owner = np.vstack([owner[keep], child_owner])
         lo = np.vstack([lo[keep], child_lo])
         hi = np.vstack([hi[keep], child_hi])
         vals = np.concatenate([vals[keep], cvals])
@@ -256,7 +230,8 @@ def integrate_regions(regions, rel_tol, max_evals, abs_floor=1e-14, max_rounds=2
     if not converged:
         converged = err_tot <= max(rel_tol * abs(total), abs_floor)
     value = complex(total) if total.imag != 0.0 else float(total.real)
-    return CubatureResult(value, err_tot, int(evals), bool(converged), int(rids.size))
+    return CubatureResult(value, err_tot, int(evals), bool(converged),
+                          int(owner.shape[0]))
 
 
 def integrate_1d(fn, a, b, rel_tol, max_evals=200_000, cuts=None):
@@ -268,8 +243,7 @@ def integrate_1d(fn, a, b, rel_tol, max_evals=200_000, cuts=None):
     def mapped(pts, rows):
         return fn(a + width * pts[:, 0]) * width
 
-    region_cuts = None
-    if cuts is not None:
-        region_cuts = [(np.asarray(cuts, dtype=float) - a) / width]
-    return integrate_regions([Region(mapped, 1, region_cuts)], rel_tol,
+    region_cuts = {} if cuts is None else {
+        0: (np.asarray(cuts, dtype=float) - a) / width}
+    return integrate_regions([mapped], 1, [(0, 0)], region_cuts, rel_tol,
                              max_evals)

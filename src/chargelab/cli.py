@@ -136,7 +136,6 @@ def _spec_dict(spec: QuadratureSpec) -> dict:
         "rel_tolerance": spec.rel_tolerance,
         "seed": spec.seed,
         "max_evals": spec.max_evals,
-        "pole_radius": spec.pole_radius,
     }
 
 

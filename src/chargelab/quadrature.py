@@ -3,13 +3,13 @@
 Every integrand here is a field magnitude with integrable point singularities
 at the charge locations. Each dimension handles them its own way:
 
-  * d = 2: a "pole zone" around each charge (a pole-centered disc clipped to
-    the unit disc) is integrated in pole-centered polar coordinates, where
-    the s Jacobian cancels the ~ w/s blow-up, and the rest of the disc by
-    deterministic adaptive cubature on angular-band slices. The zones are
-    two cubature region families indexed by pole, one for poles inside (the
-    origin included) and one for poles on the circle; the bulk pieces are a
-    third.
+  * d = 2: a "pole zone" around each charge (a pole-centered disc of radius
+    at most DEFAULT_POLE_RADIUS, clipped to the unit disc) is integrated in
+    pole-centered polar coordinates, where the s Jacobian cancels the ~ w/s
+    blow-up, and the rest of the disc by deterministic adaptive cubature on
+    angular-band slices. The zones are two cubature region families indexed
+    by pole, one for poles inside (the origin included) and one for poles on
+    the circle; the bulk pieces are a third.
   * d = 3: the singular surrogates |w_k| c(r)/r^2 have a closed-form mass,
     and randomized quasi-Monte Carlo integrates the bounded residual (field
     magnitude minus the surrogates) over the whole ball. A cluster of
@@ -51,12 +51,12 @@ import math
 import numpy as np
 
 # integrate_1d is unused here; perfbench's tracer patches it by this name
-from ._cubature import Region, integrate_1d, integrate_regions  # noqa: F401
+from ._cubature import integrate_1d, integrate_regions  # noqa: F401
 from .configurations import (BOUNDARY_SNAP, ChargeConfiguration,
                              _ball_samples, _cluster_labels, _on_sphere,
                              _sphere_points, merge_coincident)
 from .fields import (_CACHE_PAIRS, _cauchy_abs_batch, _chunks, _field_mag,
-                     _offsets, _pole_sum, averaged_kernel_batch)
+                     _offsets, _pole_sum, _validate_arc, averaged_kernel_batch)
 from .rng import derive_key, substream
 
 __all__ = [
@@ -70,7 +70,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# cap on the d = 2 zone radii when the caller does not override pole_radius
+# cap on the d = 2 zone radii (energies, defects and two-pole integrals)
 DEFAULT_POLE_RADIUS = 0.1
 
 _METHODS = ("auto", "mc")
@@ -100,16 +100,13 @@ class QuadratureSpec:
 
     method "auto" resolves by dimension: adaptive (d=2), rqmc (d=3),
     mc (d>=4). "mc" may be forced in any dimension as a slow cross-check.
-    QuadratureResult.method names the method that ran. pole_radius caps the
-    d = 2 pole zones (energies, defects and two-pole integrals); the other
-    dimensions have no zones and ignore it.
+    QuadratureResult.method names the method that ran.
     """
 
     method: str = "auto"
     rel_tolerance: float = 1e-3
     seed: int = 0
     max_evals: int = 10_000_000
-    pole_radius: float | None = None
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -118,8 +115,6 @@ class QuadratureSpec:
             raise ValueError("rel_tolerance must lie in (0, 0.5)")
         if int(self.max_evals) < 1000:
             raise ValueError("max_evals must be at least 1000")
-        if self.pole_radius is not None and not (0.0 < float(self.pole_radius)):
-            raise ValueError("pole_radius must be positive")
 
     def resolved_method(self, dimension: int) -> str:
         if self.method == "mc":
@@ -129,9 +124,6 @@ class QuadratureSpec:
         if dimension == 3:
             return "rqmc"
         return "mc"
-
-    def radius_cap(self) -> float:
-        return DEFAULT_POLE_RADIUS if self.pole_radius is None else float(self.pole_radius)
 
 
 @dataclass(frozen=True)
@@ -177,8 +169,9 @@ def _nearest_neighbor_dists(points):
 def _zone_regions_2d(poles, on_sphere, t, phi, rho, g):
     """Polar patch around each pole; the s Jacobian cancels the 1/s kernel.
 
-    Interior zones form one family and on-sphere zones another, each with the
-    pole index as its row into (poles, t, phi, rho). A pole at the origin
+    Returns the interior and on-sphere zone integrands, families 0 and 1,
+    whose row is the pole index into (poles, t, phi, rho), and the axis-0
+    cuts of the zones keyed by pole index. A pole at the origin
     (t <= 1e-14) is an interior zone without cuts.
     """
 
@@ -201,26 +194,21 @@ def _zone_regions_2d(poles, on_sphere, t, phi, rho, g):
         z = poles[k] + s * np.exp(1j * psi)
         return g(z) * s * cap * math.pi
 
-    regions = []
+    # scalar math.acos, not np.arccos (see the atan2 note in _integrate_disc)
+    cuts = {}
     for k in range(len(poles)):
         tk, rk = t[k], rho[k]
         if on_sphere[k]:
-            cuts = None
-            if rk < 2.0:
-                bstar = math.acos(rk / 2.0)
-                cuts = [np.array([(-bstar + 0.5 * math.pi) / math.pi,
-                                  (bstar + 0.5 * math.pi) / math.pi]), None]
-            regions.append(Region(rim, 2, cuts, row=k))
-        else:
-            cuts = None
-            if tk > 1e-14:
-                cross = (1.0 - tk * tk - rk * rk) / (2.0 * rk * tk)
-                if -1.0 < cross < 1.0:
-                    gstar = math.acos(cross)
-                    cuts = [np.array([(-gstar + math.pi) / TWO_PI,
-                                      (gstar + math.pi) / TWO_PI]), None]
-            regions.append(Region(interior, 2, cuts, row=k))
-    return regions
+            bstar = math.acos(rk / 2.0)
+            cuts[k] = ((-bstar + 0.5 * math.pi) / math.pi,
+                       (bstar + 0.5 * math.pi) / math.pi)
+        elif tk > 1e-14:
+            cross = (1.0 - tk * tk - rk * rk) / (2.0 * rk * tk)
+            if -1.0 < cross < 1.0:
+                gstar = math.acos(cross)
+                cuts[k] = ((-gstar + math.pi) / TWO_PI,
+                           (gstar + math.pi) / TWO_PI)
+    return [interior, rim], cuts
 
 
 def _bulk_cut_angles(params, extra):
@@ -267,6 +255,7 @@ def _bulk_regions_2d(t, phi, rho, extra_cuts, g):
     intervals becomes one smooth mapped region. All of them form one family,
     whose row is the piece index into (band start, band span, zone below,
     zone above), with -1 standing for the origin below or the rim above.
+    Returns the family integrand and the number of pieces.
     """
     angles = np.array(_bulk_cut_angles(zip(t, phi, rho), extra_cuts))
     ends = np.append(angles[1:], angles[0] + TWO_PI)
@@ -310,7 +299,7 @@ def _bulk_regions_2d(t, phi, rho, extra_cuts, g):
         z = s * np.exp(1j * theta)
         return g(z) * s * width * span[k]
 
-    return [Region(fn, 2, row=k) for k in range(start.size)]
+    return fn, start.size
 
 
 def _integrate_disc(g, poles, on_sphere, radii, extra_cuts, rel_tol,
@@ -321,9 +310,14 @@ def _integrate_disc(g, poles, on_sphere, radii, extra_cuts, rel_tol,
     t = np.array([abs(p) for p in poles])
     phi = np.array([math.atan2(p.imag, p.real) if p else 0.0 for p in poles])
     rho = np.asarray(radii, dtype=float)
-    regions = _zone_regions_2d(poles, on_sphere, t, phi, rho, g)
-    regions += _bulk_regions_2d(t, phi, rho, extra_cuts, g)
-    res = integrate_regions(regions, rel_tol, max_evals, abs_floor=abs_floor)
+    fns, cuts = _zone_regions_2d(poles, on_sphere, t, phi, rho, g)
+    bulk, n_pieces = _bulk_regions_2d(t, phi, rho, extra_cuts, g)
+    # (family, row) per region: the zones in pole order, then the pieces
+    regions = np.column_stack([
+        np.concatenate([on_sphere, np.full(n_pieces, 2)]),
+        np.concatenate([np.arange(len(poles)), np.arange(n_pieces)])])
+    res = integrate_regions(fns + [bulk], 2, regions, cuts, rel_tol, max_evals,
+                            abs_floor=abs_floor)
     return QuadratureResult(float(res.value), float(res.error), res.evals,
                             res.converged, "adaptive")
 
@@ -333,7 +327,7 @@ def _energy_adaptive_2d(config, spec):
     weights = config.weights
     # half the nearest-neighbor distance keeps zones pairwise disjoint, so
     # each zone sees exactly one singularity
-    radii = np.minimum(spec.radius_cap(),
+    radii = np.minimum(DEFAULT_POLE_RADIUS,
                        0.5 * _nearest_neighbor_dists(config.positions))
 
     def g(z):
@@ -721,12 +715,8 @@ def l1_defect(z0: complex, arc, spec: QuadratureSpec | None = None) -> Quadratur
     depends only on the arc length, which callers exploit for caching.
     """
     spec = spec or QuadratureSpec()
-    a, b = float(arc[0]), float(arc[1])
-    if not b > a:
-        raise ValueError("arc must satisfy b > a")
+    a, b = _validate_arc(arc)
     length = b - a
-    if length > TWO_PI + 1e-12:
-        raise ValueError("arc length cannot exceed 2*pi")
     z0 = complex(z0)
     mid = 0.5 * (a + b)
     anchor = complex(math.cos(mid), math.sin(mid))
@@ -740,7 +730,7 @@ def l1_defect(z0: complex, arc, spec: QuadratureSpec | None = None) -> Quadratur
     # keep the zone clear of the arc endpoints, where the averaged kernel has
     # its own (logarithmic, rim-bound) singularities
     endpoint_gap = math.sin(min(length, TWO_PI - 1e-9) / 4.0)
-    rho = min(spec.radius_cap(), max(endpoint_gap, 1e-6))
+    rho = min(DEFAULT_POLE_RADIUS, max(endpoint_gap, 1e-6))
     extra = [a, b]
     floor = max(1e-14, 0.05 * spec.rel_tolerance * length)
     poles = np.array([z0])
@@ -774,7 +764,7 @@ def two_pole_l1(a: complex, b: complex,
     def g(z):
         return _cauchy_abs_batch(poles, signs, z)
 
-    radii = np.minimum(spec.radius_cap(), 0.5 * delta) * np.ones(2)
+    radii = np.minimum(DEFAULT_POLE_RADIUS, 0.5 * delta) * np.ones(2)
     floor = max(1e-14, 0.05 * spec.rel_tolerance * delta)
     return _integrate_disc(g, poles, _on_sphere(np.abs(poles)), radii, (),
                            spec.rel_tolerance, spec.max_evals, abs_floor=floor)

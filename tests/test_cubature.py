@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from chargelab._cubature import Region, integrate_1d, integrate_regions
+from chargelab._cubature import integrate_1d, integrate_regions
 
 
 class TestOneDimensional:
@@ -49,51 +49,65 @@ class TestOneDimensional:
         assert a.evals == b.evals
 
 
+def _tables(specs):
+    """(fns, regions, cuts) for a list of (fn, row, axis-0 cuts or None),
+    one family per distinct fn."""
+    fns, regions, cuts = [], [], {}
+    for r, (fn, row, cut) in enumerate(specs):
+        if fn not in fns:
+            fns.append(fn)
+        regions.append((fns.index(fn), row))
+        if cut is not None:
+            cuts[r] = cut
+    return fns, regions, cuts
+
+
 class TestRegions:
     def test_two_dim_polynomial(self):
         fn = lambda p, rows: p[:, 0] ** 2 * p[:, 1]
-        res = integrate_regions([Region(fn, 2)], 1e-12, 100_000)
+        res = integrate_regions([fn], 2, [(0, 0)], {}, 1e-12, 100_000)
         assert res.value == pytest.approx(1.0 / 6.0, abs=1e-13)
 
     def test_regions_sum(self):
-        r1 = Region(lambda p, rows: p[:, 0], 1)
-        r2 = Region(lambda p, rows: np.ones(p.shape[0]), 1)
-        res = integrate_regions([r1, r2], 1e-12, 100_000)
+        f1 = lambda p, rows: p[:, 0]
+        f2 = lambda p, rows: np.ones(p.shape[0])
+        res = integrate_regions([f1, f2], 1, [(0, 0), (1, 0)], {}, 1e-12,
+                                100_000)
         assert res.value == pytest.approx(1.5, abs=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            integrate_regions([Region(lambda p, rows: p[:, 0], 1),
-                               Region(lambda p, rows: p[:, 0], 2)], 1e-6,
-                              10_000)
 
     def test_cuts_increase_initial_cells(self):
         fn = lambda p, rows: p[:, 0]
-        res = integrate_regions([Region(fn, 1, [np.array([0.25, 0.5])])],
-                                1e-12, 100_000)
+        res = integrate_regions([fn], 1, [(0, 0)], {0: [0.25, 0.5]}, 1e-12,
+                                100_000)
         assert res.n_cells >= 3
+        assert res.value == pytest.approx(0.5, abs=1e-13)
+        # cuts outside (0, 1), at its ends or within 1e-12 of another cut
+        # add no cell; the exact integrand keeps the three initial cells
+        cuts = {0: [0.5, -0.2, 0.25, 1.0, 0.5 + 1e-13, 0.0, 0.5, 1.5]}
+        res = integrate_regions([fn], 1, [(0, 0)], cuts, 1e-12, 100_000)
+        assert res.n_cells == 3
         assert res.value == pytest.approx(0.5, abs=1e-13)
 
     def test_initial_decomposition_over_budget(self):
-        cuts = [np.linspace(0.001, 0.999, 200)]
+        cuts = {0: np.linspace(0.001, 0.999, 200)}
         with pytest.raises(ValueError):
-            integrate_regions([Region(lambda p, rows: p[:, 0], 1, cuts)], 1e-6,
-                              1000)
+            integrate_regions([lambda p, rows: p[:, 0]], 1, [(0, 0)], cuts,
+                              1e-6, 1000)
 
     def test_empty_region_list(self):
-        res = integrate_regions([], 1e-6, 1000)
+        res = integrate_regions([], 1, [], {}, 1e-6, 1000)
         assert res.value == 0.0 and res.converged
 
     def test_nonconvergence_reported(self):
         # ~1600 oscillations cannot be resolved by ~130 GK15 cells
         fn = lambda p, rows: np.sin(1e4 * p[:, 0])
-        res = integrate_regions([Region(fn, 1)], 1e-10, 2000)
+        res = integrate_regions([fn], 1, [(0, 0)], {}, 1e-10, 2000)
         assert not res.converged
         assert res.evals <= 2000
 
     def test_error_is_honest_when_converged(self):
         fn = lambda p, rows: np.exp(p[:, 0]) * np.cos(3.0 * p[:, 1])
-        res = integrate_regions([Region(fn, 2)], 1e-9, 200_000)
+        res = integrate_regions([fn], 2, [(0, 0)], {}, 1e-9, 200_000)
         exact = (math.e - 1.0) * math.sin(3.0) / 3.0
         assert res.converged
         assert abs(res.value - exact) <= max(3.0 * res.error, 1e-13)
@@ -114,20 +128,22 @@ class TestFamilies:
         return 1.0 / (eps + (x[:, 0] - cx) ** 2 + (x[:, 1] - cy) ** 2)
 
     def _regions(self, table, family, calls=None):
+        """(fn, row, cuts) per region: rows of `family`, or with `family`
+        None, one single-row integrand per region."""
         eps, cx, cy, cut = table
         calls = [] if calls is None else calls
-        regions = []
+        specs = []
         for k in range(eps.size):
-            cuts = [np.array([cut[k]]), None] if k % 3 == 0 else None
+            cuts = [cut[k]] if k % 3 == 0 else None
             if family is None:
                 def fn(x, rows, k=k):
                     assert not rows.any()
                     calls.append(x.shape[0])
                     return self._peak(x, eps[k], cx[k], cy[k])
-                regions.append(Region(fn, 2, cuts))
+                specs.append((fn, 0, cuts))
             else:
-                regions.append(Region(family, 2, cuts, row=k))
-        return regions
+                specs.append((family, k, cuts))
+        return specs
 
     def _family(self, table, calls):
         eps, cx, cy, _ = table
@@ -139,6 +155,11 @@ class TestFamilies:
         return fn
 
     @staticmethod
+    def _integrate(specs):
+        fns, regions, cuts = _tables(specs)
+        return integrate_regions(fns, 2, regions, cuts, 1e-8, 2_000_000)
+
+    @staticmethod
     def _same(a, b):
         assert (a.value, a.error, a.evals, a.n_cells, a.converged) == (
             b.value, b.error, b.evals, b.n_cells, b.converged)
@@ -146,10 +167,9 @@ class TestFamilies:
     def test_family_is_bit_identical_to_plain_regions(self):
         table = self._table(40)
         calls, plain_calls = [], []
-        family = integrate_regions(
-            self._regions(table, self._family(table, calls)), 1e-8, 2_000_000)
-        plain = integrate_regions(self._regions(table, None, plain_calls),
-                                  1e-8, 2_000_000)
+        family = self._integrate(
+            self._regions(table, self._family(table, calls)))
+        plain = self._integrate(self._regions(table, None, plain_calls))
         self._same(family, plain)
         # the 54 initial cells need more than one bounded call; after that
         # each round makes one call per chunk, not one per region
@@ -166,9 +186,9 @@ class TestFamilies:
             assert np.all(per_cell == per_cell[:, :1])
             return (rows + 1.0) * np.ones(x.shape[0])
 
-        regions = [Region(fn, 2, [np.array([cut[k]]), None], row=k)
-                   for k in range(n)]
-        res = integrate_regions(regions, 1e-12, 1_000_000)
+        regions = [(0, k) for k in range(n)]
+        cuts = {k: [cut[k]] for k in range(n)}
+        res = integrate_regions([fn], 2, regions, cuts, 1e-12, 1_000_000)
         # region k integrates the constant k + 1 over the unit square
         assert res.value == pytest.approx(n * (n + 1) / 2, rel=1e-12)
 
@@ -178,15 +198,10 @@ class TestFamilies:
         fam_a = self._regions(a, self._family(a, calls_a))
         fam_b = self._regions(b, self._family(b, calls_b))
         plain_a, plain_b = self._regions(a, None), self._regions(b, None)
-        odd = Region(lambda x, rows: np.exp(x[:, 0] - x[:, 1]), 2)
+        odd = (lambda x, rows: np.exp(x[:, 0] - x[:, 1]), 0, None)
         mixed = fam_a[:6] + plain_b[:4] + [odd] + fam_b[4:] + plain_a[6:]
         mixed += fam_b[:4] + fam_a[6:]
         reference = plain_a[:6] + plain_b[:4] + [odd] + plain_b[4:]
         reference += plain_a[6:] + plain_b[:4] + plain_a[6:]
-        self._same(integrate_regions(mixed, 1e-8, 2_000_000),
-                   integrate_regions(reference, 1e-8, 2_000_000))
+        self._same(self._integrate(mixed), self._integrate(reference))
         assert calls_a and calls_b
-
-    def test_negative_row_rejected(self):
-        with pytest.raises(ValueError):
-            Region(lambda x, rows: x[:, 0], 1, row=-1)

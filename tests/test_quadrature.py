@@ -71,11 +71,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuadratureSpec(max_evals=999)
 
-    def test_pole_radius_positive(self):
-        for bad in (0.0, -0.1):
-            with pytest.raises(ValueError):
-                QuadratureSpec(pole_radius=bad)
-
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             QuadratureSpec(method="simpson")
@@ -280,10 +275,11 @@ class TestInvariances:
         eab = chui_energy(merge_configs(a, b), spec)
         assert eab.value <= ea.value + eb.value + 3.0 * (ea.error + eb.error + eab.error)
 
-    def test_pole_radius_insensitive(self):
+    def test_pole_radius_insensitive(self, monkeypatch):
         cfg = uniform_circle_config(4)
         r1 = chui_energy(cfg, QuadratureSpec(rel_tolerance=1e-4))
-        r2 = chui_energy(cfg, QuadratureSpec(rel_tolerance=1e-4, pole_radius=0.06))
+        monkeypatch.setattr(quadrature, "DEFAULT_POLE_RADIUS", 0.06)
+        r2 = chui_energy(cfg, QuadratureSpec(rel_tolerance=1e-4))
         assert abs(r1.value - r2.value) <= r1.error + r2.error
 
     def test_nonnegative_and_budgeted(self):
@@ -328,6 +324,9 @@ class TestArcDefect:
             l1_defect(1.0, (1.0, 1.0))
         with pytest.raises(ValueError):
             l1_defect(1.0, (-4.0, 4.0))
+        for bad in ((math.nan, 0.5), (-0.5, math.nan), (-math.inf, 0.0)):
+            with pytest.raises(ValueError):
+                l1_defect(1.0, bad)
 
     def test_rotation_invariance(self):
         spec = QuadratureSpec(rel_tolerance=1e-3)
@@ -363,40 +362,64 @@ class TestTwoPoleCancellation:
         assert small.value < big.value
 
 
+_ALTERNATING = [[1.0, 0.0], [0.3, 0.4], [-0.6, 0.8], [0.0, 0.0]]
+
+
 class TestDecompositionPins:
-    """Exact eval counts of the planar decomposition, so any change to its
-    pieces, their order or their initial cuts fails here first."""
+    """Exact eval counts and value and error bits of the planar
+    decomposition, so any change to its pieces, their order or their initial
+    cuts fails here first."""
 
     CASES = {
         "uniform_64": (lambda: chui_energy(uniform_circle_config(64),
                                            QuadratureSpec(rel_tolerance=1e-4)),
-                       391500, uniform_energy(64)),
+                       391500, uniform_energy(64),
+                       "0x1.ce8cb956ebd88p+2", "0x1.343a998f03594p-11"),
         "boundary_single": (lambda: chui_energy(
             ChargeConfiguration([[0.0, 1.0]], [1.0]),
             QuadratureSpec(rel_tolerance=1e-4)), 4275,
-            single_pole_energy_2d(1.0)),
+            single_pole_energy_2d(1.0),
+            "0x1.fffff71be5ff7p+1", "0x1.23ea5fd957d48p-12"),
         # the references below are the pinned decomposition's own values
         "random_interior_16": (lambda: chui_energy(
             random_config(16, 2, seed=7, interior=True)), 29475,
-            41.692036267387465),
+            41.692036267387465,
+            "0x1.4d894a4f8099cp+5", "0x1.1f61bf8f8b68ap-6"),
         "defect_0.1": (lambda: l1_defect(1.0, (-0.05, 0.05)), 12375,
-                       0.14813440220664695),
+                       0.14813440220664695,
+                       "0x1.2f6116e71ed73p-3", "0x1.d316362c992fap-14"),
         "two_pole": (lambda: two_pole_l1(0.5, 0.5 + 0.3j), 3600,
-                     4.586880172713139),
+                     4.586880172713139,
+                     "0x1.258f71db1e522p+2", "0x1.808055c491680p-10"),
         # a zone at the origin, one inside and one on the circle
         "origin_interior_boundary": (lambda: chui_energy(
             ChargeConfiguration([[0.0, 0.0], [0.4, -0.3], [0.0, 1.0]],
                                 [1.0, 0.5, 2.0]),
-            QuadratureSpec(rel_tolerance=1e-4)), 5850, 12.870133467162336),
+            QuadratureSpec(rel_tolerance=1e-4)), 5850, 12.870133467162336,
+            "0x1.9bd8222413c12p+3", "0x1.c5193a6d42831p-11"),
+        # zones alternate between the families out of family order (on the
+        # circle, inside, on the circle, at the origin), so the cells of a
+        # family are not contiguous. At 1e-6 every zone cell is split in the
+        # first round; at 1e-4 some survive, so sorting the zones by family
+        # changes the bits there too
+        "alternating_families": (lambda: chui_energy(
+            ChargeConfiguration(_ALTERNATING, [1.0, 0.7, 1.5, 0.4]),
+            QuadratureSpec(rel_tolerance=1e-6)), 50625, 10.552865501055363,
+            "0x1.51b112fdc3d27p+3", "0x1.851894ae96860p-18"),
+        "alternating_families_coarse": (lambda: chui_energy(
+            ChargeConfiguration(_ALTERNATING, [1.0, 1.0, 1.0, 1.0]),
+            QuadratureSpec(rel_tolerance=1e-4)), 9225, 13.499531305605633,
+            "0x1.affc29139cf0ap+3", "0x1.3f210467a4abcp-10"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_evals_pinned(self, case):
-        run, evals, reference = self.CASES[case]
+        run, evals, reference, value_hex, error_hex = self.CASES[case]
         res = run()
         assert res.converged
         assert res.evals == evals
         assert abs(res.value - reference) <= res.error
+        assert (res.value.hex(), res.error.hex()) == (value_hex, error_hex)
 
 
 # the d = 3 residual as it was computed before the component-major kernel:
