@@ -32,14 +32,16 @@ sums, the estimate, its standard error and the tolerance and budget stops.
 The RQMC bulk's first round (8 replicates x 4096 ball points) depends only
 on the spec seed and ends most calls, so `_first_round` caches it per seed
 as one read-only block (about 0.8 MB, 2.6 MB with the strata's points; at
-most _FIRST_ROUND_SEEDS blocks), and round 0 is one kernel pass over it. Later rounds draw from fresh engines
-fast-forwarded past the first round, so calls share no mutable state and
-every result is bit-identical to drawing each round anew.
+most _FIRST_ROUND_SEEDS blocks), and round 0 is one kernel pass over it. A
+later round draws its points afresh from a stateless scrambled Sobol engine
+(`_sobol`: key, dimension, start, count), so calls share no mutable state.
+The engine is numpy only and gives scipy.stats.qmc.Sobol's points bit for
+bit.
 
 Determinism contract: identical inputs (including the seed) give
 bit-identical results regardless of machine load or thread count. All
 reductions are fixed-order numpy pairwise sums; stochastic paths draw from
-counter-based substreams keyed by purpose tags.
+generators keyed by purpose tags (rng.py).
 """
 
 from __future__ import annotations
@@ -85,8 +87,14 @@ _FIRST_ROUND_SEEDS = 8
 # _CLUSTER_K * D and a halo out to _HALO about its centre
 _CLUSTER_K = 4.0
 _HALO = 0.25
-# Sobol rows mapped into the ball at a time
-_MAP_ROWS = 4096
+# Sobol points mapped into the ball at a time
+_MAP_POINTS = 4096
+# scrambled Sobol: 30-bit digits and, per dimension, the primitive polynomial
+# and initial direction numbers of Joe and Kuo's new-joe-kuo-6.21201 table
+# (the first rows of scipy's copy); the bulk uses 3, the strata 6
+_SOBOL_BITS = 30
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3))
 
 
 def unit_ball_volume(d: int) -> float:
@@ -448,55 +456,114 @@ def _replicated_mean(sample, n_rep, draw, doubling, volume, budget, target,
         rnd += 1
 
 
-def _sobol(seed, rep, tag="rqmc-bulk", dim=3):
-    """Scrambled Sobol engine of one d = 3 RQMC replicate (bulk or strata)."""
-    # scipy.stats costs about a second to import; only this path needs it
-    from scipy.stats import qmc
+def _sobol_directions():
+    """Joe-Kuo direction numbers, one row per dimension, as 30-bit integers
+    (Bratley and Fox's recurrence, then column j shifted left by 29 - j)."""
+    v = np.ones((len(_SOBOL_POLY), _SOBOL_BITS), dtype=np.int64)
+    for d in range(1, len(_SOBOL_POLY)):
+        poly, init = _SOBOL_POLY[d], _SOBOL_VINIT[d]
+        deg = len(init)
+        v[d, :deg] = init
+        for j in range(deg, _SOBOL_BITS):
+            v[d, j] = v[d, j - deg]
+            for k in range(deg):
+                if poly >> (deg - 1 - k) & 1:
+                    v[d, j] ^= v[d, j - k - 1] << (k + 1)
+    return (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
 
-    return qmc.Sobol(d=dim, scramble=True, seed=derive_key(seed, tag, rep))
+
+_SOBOL_V = _sobol_directions()
+
+
+def _scrambled(key, dim):
+    """LMS-scrambled direction numbers (dim, 30) and digital shift (dim,)
+    from np.random.default_rng(key), drawn in scipy's order: the shift's
+    bits, then the lower-triangular matrices with unit diagonal."""
+    gen = np.random.default_rng(key)
+    bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
+    shift = (gen.integers(0, 2, size=(dim, _SOBOL_BITS), dtype=np.uint32)
+             @ (np.uint32(1) << bits))
+    ltm = np.tril(gen.integers(0, 2, size=(dim, _SOBOL_BITS, _SOBOL_BITS),
+                               dtype=np.uint32))
+    ltm[:, bits, bits] = 1
+    # row p of a matrix as a mask, its first column the top bit; bit 29 - p
+    # of scrambled column j is the parity of that mask and column j
+    msb_first = bits[::-1]
+    rows = ltm @ (np.uint32(1) << msb_first)
+    parity = np.bitwise_count(rows[:, :, None] & _SOBOL_V[:dim, None, :]) & 1
+    return (np.bitwise_or.reduce(parity.astype(np.uint32)
+                                 << msb_first[:, None], axis=1), shift)
+
+
+def _sobol(key, dim, start, m):
+    """Points start .. start + m - 1 of the scrambled Sobol sequence of
+    `key`, component-major (dim, m), bit-identical to
+    scipy.stats.qmc.Sobol(dim, scramble=True, seed=key) drawn that far.
+
+    A draw must be balanced: m a power of two, start a multiple of m and
+    the end at most 2^30. Point start + i is then the point at start XOR
+    the Gray-code sum of i, tabled by reflection: points s..2s-1 are
+    points s-1..0 XOR direction number log2(s).
+    """
+    if m < 1 or m & (m - 1) or start % m or start + m > 1 << _SOBOL_BITS:
+        raise ValueError(f"unbalanced Sobol draw: {m} points from {start}")
+    sv, shift = _scrambled(key, dim)
+    gray = (start ^ start >> 1) >> np.arange(_SOBOL_BITS) & 1
+    table = np.empty((dim, m), dtype=np.uint32)
+    table[:, 0] = shift ^ np.bitwise_xor.reduce(sv[:, gray == 1], axis=1)
+    s = 1
+    while s < m:
+        np.bitwise_xor(table[:, s - 1::-1], sv[:, s.bit_length() - 1, None],
+                       out=table[:, s:2 * s])
+        s *= 2
+    return table * 2.0 ** -_SOBOL_BITS
 
 
 def _ball_points(u):
-    """Component-major (3, m) unit-ball points from Sobol points in [0,1)^3.
+    """Component-major (3, m) unit-ball points from Sobol points (3, m) in
+    [0,1)^3.
 
     The map (cube-root radius, uniform cosine, uniform azimuth) runs on
-    _MAP_ROWS rows at a time, so its temporaries stay in a core's cache.
+    _MAP_POINTS points at a time, so its temporaries stay in a core's cache.
     """
-    out = np.empty((3, u.shape[0]))
-    for lo in range(0, u.shape[0], _MAP_ROWS):
-        rows = slice(lo, lo + _MAP_ROWS)
-        radius = u[rows, 0] ** (1.0 / 3.0)
-        mu = 2.0 * u[rows, 1] - 1.0
-        beta = TWO_PI * u[rows, 2]
+    out = np.empty(u.shape)
+    for lo in range(0, u.shape[1], _MAP_POINTS):
+        cols = slice(lo, lo + _MAP_POINTS)
+        radius = u[0, cols] ** (1.0 / 3.0)
+        mu = 2.0 * u[1, cols] - 1.0
+        beta = TWO_PI * u[2, cols]
         rs = radius * np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-        np.multiply(rs, np.cos(beta), out=out[0, rows])
-        np.multiply(rs, np.sin(beta), out=out[1, rows])
-        np.multiply(radius, mu, out=out[2, rows])
+        np.multiply(rs, np.cos(beta), out=out[0, cols])
+        np.multiply(rs, np.sin(beta), out=out[1, cols])
+        np.multiply(radius, mu, out=out[2, cols])
     return out
 
 
-def _points(engines, m):
-    """One replicate's next m points, component-major: (3, m) ball points
-    or, with a 6-D stratum engine, (10, m) adding a unit-ball point (inner
-    balls), a unit direction and a uniform (halo radii)."""
-    pts = _ball_points(engines[0].random(m))
-    if len(engines) == 1:
+def _points(seed, rep, strata, start, m):
+    """Points start .. start + m - 1 of one replicate, component-major:
+    (3, m) ball points or, with `strata`, (10, m) adding from a 6-D
+    sequence a unit-ball point (inner balls), a unit direction and a
+    uniform (halo radii)."""
+    pts = _ball_points(_sobol(derive_key(seed, "rqmc-bulk", rep), 3, start, m))
+    if not strata:
         return pts
-    u = engines[1].random(m)
-    dirs = np.column_stack([np.ones(m), u[:, 4], u[:, 5]])
-    return np.vstack([pts, _ball_points(u[:, :3]), _ball_points(dirs), u[:, 3]])
-
-
-def _engines(seed, rep, strata):
-    tags = [("rqmc-bulk", 3)] + [("rqmc-stratum", 6)] * strata
-    return [_sobol(seed, rep, *tag) for tag in tags]
+    u = _sobol(derive_key(seed, "rqmc-stratum", rep), 6, start, m)
+    dirs = np.vstack([np.ones(m), u[4], u[5]])
+    return np.vstack([pts, _ball_points(u[:3]), _ball_points(dirs), u[3]])
 
 
 @functools.lru_cache(maxsize=_FIRST_ROUND_SEEDS)
 def _first_round(seed, strata=False):
     """Per replicate, read-only views into one block of first-round points
     (`_points` rows, with the stratum rows when `strata`)."""
-    block = np.concatenate([_points(_engines(seed, rep, strata), _RQMC_FIRST)
+    # glibc's malloc gives the top of its heap back to the OS whenever more
+    # than twice the largest mmap-ed block freed so far lies free there. A
+    # d = 3 call churns up to about 7 MB of temporaries, so until some large
+    # block is freed every call faults their pages in again (600 faults
+    # double a lone pole's call). Dropping one untouched 4 MB array raises
+    # that bound and faults no page.
+    np.empty(1 << 19)
+    block = np.concatenate([_points(seed, rep, strata, 0, _RQMC_FIRST)
                             for rep in range(_RQMC_REPS)], axis=1)
     block.flags.writeable = False
     return tuple(block[:, lo:lo + _RQMC_FIRST]
@@ -509,27 +576,23 @@ def _rqmc_bulk(h, spec, budget, target_fn, streams=1):
     Round 0 runs h once on the `_first_round` block of the spec seed and
     sums each replicate's values as their own slice; a point's value does
     not depend on its chunk, so these are the sums of one call per
-    replicate. Later rounds build the engines afresh, fast-forwarded past
-    the first round, and keep them for the rest of the call; engines are
-    never shared between calls. Each round's points are drawn and summed
-    whole, so results match drawing every round from one engine. With
-    streams > 1, h sees (m, 10) rows with stratum coordinates (`_points`)
-    and a row costs `streams` evals. target_fn maps the current bulk
-    estimate to the absolute sigma target; returns (estimate, sigma, evals,
-    converged).
+    replicate. A later round of m points per replicate draws each
+    replicate's points m .. 2m - 1 afresh, so calls share no mutable state.
+    With streams > 1, h sees (m, 10) rows with stratum coordinates
+    (`_points`) and a row costs `streams` evals. target_fn maps the current
+    bulk estimate to the absolute sigma target; returns (estimate, sigma,
+    evals, converged).
     """
     seed, strata = int(spec.seed), streams > 1
     block = _first_round(seed, strata)[0].base
-    engines = []
 
     def sample(rnd, m):
         if rnd == 0:
             return [np.sum(v) for v in h(block.T).reshape(_RQMC_REPS, m)]
-        if not engines:
-            engines.extend([e.fast_forward(_RQMC_FIRST)
-                            for e in _engines(seed, rep, strata)]
-                           for rep in range(_RQMC_REPS))
-        return [np.sum(h(_points(e, m).T)) for e in engines]
+        # doubled rounds: the m points of round rnd >= 1 follow the m drawn
+        # before it
+        return [np.sum(h(_points(seed, rep, strata, m, m).T))
+                for rep in range(_RQMC_REPS)]
 
     return _replicated_mean(sample, _RQMC_REPS, _RQMC_FIRST, True,
                             unit_ball_volume(3), budget, target_fn, streams)

@@ -1,9 +1,13 @@
-"""Deterministic substreams for every randomized component.
+"""Deterministic random streams for every randomized component.
 
-All randomness in the package flows through `substream`, which derives an
-independent Philox (counter-based) generator from a user seed plus a tuple of
-purpose tags. Identical (seed, tags) always yield the identical stream, on any
-platform and regardless of how many other streams were drawn, so results never
+Every stream is keyed by `derive_key`, a hash of a user seed plus a tuple of
+purpose tags. Most randomness flows through `substream`, an independent
+Philox (counter-based) generator for that key. The d = 3 Sobol scrambles
+draw from PCG64 `np.random.default_rng(derive_key(seed, "rqmc-bulk", rep))`
+(or "rqmc-stratum") instead, because that is the generator scipy's Sobol
+engine seeds from an integer, so the points keep the bits scipy gave them.
+Identical (seed, tags) always yield the identical stream, on any platform
+and regardless of how many other streams were drawn, so results never
 depend on evaluation order or worker count.
 """
 
@@ -29,7 +33,7 @@ def substream(seed, *tags):
     seed : int
         User-facing seed.
     *tags : str | int
-        Purpose labels, e.g. ``substream(seed, "bulk-qmc", replicate)``.
+        Purpose labels, e.g. ``substream(seed, "mc", round_idx, block)``.
 
     Returns
     -------

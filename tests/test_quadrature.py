@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -22,6 +23,7 @@ from chargelab.quadrature import (_FIRST_ROUND_SEEDS, DEFAULT_POLE_RADIUS,
                                   _cutoff, _first_round, _importance_ratio,
                                   _nearest_neighbor_dists, _residual_3d,
                                   _surrogate_mass)
+from chargelab.rng import derive_key
 
 from _oracles import (FROZEN_COAXIAL_PAIR_3D, FROZEN_SINGLE_2D,
                       FROZEN_SINGLE_3D, FROZEN_SINGLE_4D_BOUNDARY,
@@ -785,17 +787,19 @@ class TestStochasticPins:
         def forbidden(*args, **kwargs):
             raise AssertionError("cluster code ran")
 
-        def bulk_engines(seed, rep, strata):
-            assert not strata, "stratum engines built"
-            return engines(seed, rep, strata)
+        def bulk_sobol(key, dim, start, m):
+            assert dim == 3, "stratum points drawn"
+            dims.append(dim)
+            return sobol(key, dim, start, m)
 
-        engines = quadrature._engines
+        sobol, dims = quadrature._sobol, []
         monkeypatch.setattr(quadrature, "_clusters", forbidden)
         monkeypatch.setattr(quadrature, "_strata_residual", forbidden)
-        monkeypatch.setattr(quadrature, "_engines", bulk_engines)
+        monkeypatch.setattr(quadrature, "_sobol", bulk_sobol)
         _first_round.cache_clear()
         for case in self.LONE_POLES_3D:
             assert _result_bits(self.CASES[case][0]()) == _pinned(case), case
+        assert dims
 
 
 def _pinned(case):
@@ -880,40 +884,106 @@ class TestFirstRoundCache:
         assert not any(th.is_alive() for th in threads)
         assert got == {c: _pinned(c) for c in cases}
 
-    def test_later_rounds_keep_sobol_balance(self):
-        # a later round fast-forwards past the first, so every draw ends on
-        # a power of two and scipy raises no balance warning
+    def test_later_rounds_keep_sobol_balance(self, monkeypatch):
+        # every Sobol draw, of the first round and of the later rounds, of
+        # the bulk and of the strata, starts and ends on a multiple of its
+        # size, a power of two; an unbalanced draw raises
+        def recording_sobol(key, dim, start, m):
+            draws.append((dim, start, m))
+            return sobol(key, dim, start, m)
+
+        sobol, draws = quadrature._sobol, []
+        monkeypatch.setattr(quadrature, "_sobol", recording_sobol)
         _first_round.cache_clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = TestStochasticPins.CASES["budget3_fibonacci_16"][0]()
-            # the stratum engines fast-forward the same way
-            pair = chui_energy(_coaxial_pair(1e-4, -1.0),
-                               QuadratureSpec(rel_tolerance=1e-4, seed=7))
+        res = TestStochasticPins.CASES["budget3_fibonacci_16"][0]()
+        pair = chui_energy(_coaxial_pair(1e-4, -1.0),
+                           QuadratureSpec(rel_tolerance=1e-4, seed=7))
         assert _result_bits(res) == _pinned("budget3_fibonacci_16")
         assert pair.evals > 3 * 8 * 4096
+        # both sequences drew past the first round
+        assert {(dim, start > 0) for dim, start, _ in draws} == {
+            (3, False), (3, True), (6, False), (6, True)}
+        for dim, start, m in draws:
+            assert m & (m - 1) == 0 and start % m == 0 and (start + m) % m == 0
+        for start, m in [(0, 3), (0, 0), (2048, 4096), (4096, 8192),
+                         (1 << 30, 1), (0, 1 << 31)]:
+            with pytest.raises(ValueError, match="unbalanced"):
+                sobol(1, 3, start, m)
+
+
+class TestSobolEngine:
+    """The numpy scrambled Sobol engine: scipy's points bit for bit, and
+    the net property of every balanced block."""
+
+    KEYS = [(seed, rep) for seed in (0, 1, 7) for rep in (0, 5)]
+
+    @pytest.mark.parametrize("tag", ["rqmc-bulk", "rqmc-stratum"])
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_matches_scipy(self, tag, dim):
+        from scipy.stats import qmc
+
+        for seed, rep in self.KEYS:
+            key = derive_key(seed, tag, rep)
+            engine = qmc.Sobol(d=dim, scramble=True, seed=key)
+            # round 0, then doubling rounds after it, up to 2^17 points;
+            # uint64 views compare the bits, as float.hex does
+            start, m = 0, 4096
+            while start + m <= 1 << 17:
+                want = engine.random(m).T
+                got = quadrature._sobol(key, dim, start, m)
+                assert got.shape == (dim, m)
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)), (seed, rep, start)
+                start, m = start + m, start + m
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_balanced_blocks_are_nets(self, dim):
+        # in every block of 2^k points starting at a multiple of 2^k, each
+        # coordinate hits each dyadic interval of width 2^-k once, and
+        # coordinates 0 and 1 put one point in every elementary box of
+        # area 2^-k: a (0, k, 2)-net
+        key = derive_key(3, "rqmc-bulk", 2)
+        for start, m in [(0, 4096), (4096, 4096), (8192, 8192)]:
+            q = (quadrature._sobol(key, dim, start, m)
+                 * 2.0 ** 30).astype(np.int64)
+            for k in range(m.bit_length()):
+                block = np.arange(m) >> k << k
+                for c in range(dim):
+                    cells = block + (q[c] >> (30 - k))
+                    assert np.all(np.bincount(cells, minlength=m) == 1)
+                for i in range(k + 1):
+                    cells = (block + (q[0] >> (30 - i) << (k - i))
+                             + (q[1] >> (30 - k + i)))
+                    assert np.all(np.bincount(cells, minlength=m) == 1), (
+                        start, k, i)
 
 
 def test_import_defers_scipy_stats():
-    # scipy.stats (about a second to import) is only needed by the d=3 RQMC
-    # bulk, so importing chargelab must not load it, nor any other scipy
-    # module, and the bulk's first-round cache fills on the first call, not
-    # at import
+    # the package runs on numpy alone: with scipy unimportable, importing
+    # chargelab and a lone-pole and a clustered (strata) d = 3 energy run
+    # and load no scipy module, and the bulk's first-round cache fills on
+    # the first call, not at import
     src = os.path.dirname(os.path.dirname(chargelab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import chargelab\n"
         "cache = chargelab.quadrature._first_round\n"
-        "assert 'scipy.stats' not in sys.modules\n"
-        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
         "assert cache.cache_info().currsize == 0\n"
         "cfg = chargelab.ChargeConfiguration([[0.0, 0.0, 0.5]], [1.0])\n"
         "res = chargelab.chui_energy(cfg)\n"
         "assert res.method == 'rqmc' and res.converged\n"
         "assert cache.cache_info().currsize == 1\n"
+        "pair = chargelab.ChargeConfiguration(\n"
+        "    [[0.0, 0.0, 0.5], [0.0, 0.0, 0.51]], [1.0, 1.0])\n"
+        "clustered = chargelab.chui_energy(pair)\n"
+        "assert clustered.method == 'rqmc' and clustered.converged\n"
+        "assert cache.cache_info().currsize == 2\n"
+        "assert not [m for m, mod in sys.modules.items()\n"
+        "            if m.startswith('scipy') and mod is not None]\n"
         "print(repr(res.value), repr(res.error))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -921,6 +991,39 @@ def test_import_defers_scipy_stats():
     assert proc.returncode == 0, proc.stderr[-2000:]
     value, error = map(float, proc.stdout.split())
     assert abs(value - single_pole_energy_3d(0.5)) <= 3.0 * error + 1e-3 * value
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="checks glibc malloc's trim heuristic")
+def test_repeated_d3_calls_fault_no_pages():
+    # the first-round cache frees a large block, after which glibc keeps the
+    # heap pages of a d = 3 call's temporaries for the next call; without
+    # it a lone pole faults about 600 pages per call and a crowded pair
+    # 3600. scipy is blocked: its import frees such a block too
+    src = os.path.dirname(os.path.dirname(chargelab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import resource, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import chargelab\n"
+        "cfgs = [chargelab.ChargeConfiguration([[0.0, 0.0, 0.5]], [1.0]),\n"
+        "        chargelab.ChargeConfiguration(\n"
+        "            [[0.0, 0.0, 0.5], [0.0, 0.0, 0.5001]], [1.0, 1.0])]\n"
+        "for cfg in cfgs:\n"
+        "    chargelab.chui_energy(cfg)\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    for _ in range(5):\n"
+        "        chargelab.chui_energy(cfg)\n"
+        "    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    print(after - before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    faults = [int(f) for f in proc.stdout.split()]
+    assert len(faults) == 2 and max(faults) <= 5 * 50, faults
 
 
 # the d = 3 surrogate mass as it was computed before the closed form: an
