@@ -16,7 +16,10 @@ transform C(z) = sum_k a_k / (z_k - z), so |field| == |C| pointwise; the test
 suite checks the identity to 1e-12.
 
 The batch kernels behind the quadratures evaluate many points per call; for
-d >= 3 they work component-major, as described above `_offsets`.
+d >= 3 they work component-major, as described above `_offsets`. The
+arc-averaged boundary kernel behind the defect integrals is a closed form
+(`averaged_kernel_batch`) that takes one arc for all points or one per
+point.
 
 All evaluators are pure functions; nothing here carries mutable state.
 """
@@ -28,7 +31,6 @@ import math
 
 import numpy as np
 
-from ._cubature import integrate_1d
 from .configurations import ChargeConfiguration
 
 __all__ = [
@@ -218,111 +220,66 @@ def _field_mag(diff, r2, weights, d):
 # ---------------------------------------------------------------------------
 
 def _validate_arc(arc):
-    a, b = float(arc[0]), float(arc[1])
-    if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
+    """Arc ends (a, b), floats or arrays, with b clipped to a + 2 pi."""
+    a, b = (np.asarray(end, dtype=float) for end in arc)
+    if not np.all(np.isfinite(b - a) & (b > a)):
         raise ValueError("arc must be (a, b) with b > a")
-    if b - a > TWO_PI + 1e-12:
+    if np.any(b - a > TWO_PI + 1e-12):
         raise ValueError("arc length cannot exceed 2*pi")
-    return a, min(b, a + TWO_PI)
+    return a, np.minimum(b, a + TWO_PI)
 
 
-def averaged_kernel(z: complex, arc, rel_tol: float = 1e-10) -> complex:
+def averaged_kernel(z: complex, arc) -> complex:
     """Mean of the boundary kernel over an arc: (1/l) * int_a^b dtheta/(z - e^(i theta)).
 
-    Evaluated by adaptive 1D quadrature to the requested relative accuracy.
-    |z| must be strictly below 1; no special casing is needed near the arc
-    because the integrand stays integrable there.
+    The one-point case of `averaged_kernel_batch`; |z| must be strictly
+    below 1.
     """
-    a, b = _validate_arc(arc)
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("z must lie strictly inside the unit disc")
-
-    def integrand(theta):
-        return 1.0 / (z - np.exp(1j * theta))
-
-    # seed a cut at the closest-approach angle so refinement starts near it
-    phase = math.atan2(z.imag, z.real)
-    cuts = []
-    for shift in (-TWO_PI, 0.0, TWO_PI):
-        t = phase + shift
-        if a < t < b:
-            cuts.append(t)
-    res = integrate_1d(integrand, a, b, rel_tol, max_evals=500_000,
-                       cuts=cuts or None)
-    return complex(res.value) / (b - a)
-
-
-def _arc_integral_series(z, a, b):
-    """Power-series evaluation of int_a^b dtheta/(z - e^(i theta)), |z| <= 0.55."""
-    z = np.asarray(z, dtype=complex)
-    ea = np.exp(-1j * a)
-    eb = np.exp(-1j * b)
-    pa = np.ones((), dtype=complex) * ea
-    pb = np.ones((), dtype=complex) * eb
-    zpow = np.ones_like(z)
-    out = np.zeros_like(z)
-    # sum_j z^j (e^(-i(j+1)b) - e^(-i(j+1)a)) / (i (j+1)); tail < 1e-18 at |z|<=0.55
-    for j in range(70):
-        out += zpow * (pb - pa) / (1j * (j + 1))
-        zpow = zpow * z
-        pa = pa * ea
-        pb = pb * eb
-    return out
-
-
-def _arc_integral_log(z, a, b):
-    """Branch-tracked log evaluation for 0.45 <= |z| < 1, arc length < 2*pi.
-
-    Uses that arg(z - e^(i theta)) increases monotonically in theta for
-    |z| < 1 and gains exactly 2*pi per full turn, so the continuous increment
-    over a proper subarc lies in (0, 2*pi) and equals the principal difference
-    mod 2*pi. The two wrap boundaries are disambiguated with a midpoint probe.
-    """
-    z = np.asarray(z, dtype=complex)
-    za = z - np.exp(1j * a)
-    zb = z - np.exp(1j * b)
-    p = np.mod(np.angle(zb) - np.angle(za), TWO_PI)
-    risky = (p < 1e-9) | (p > TWO_PI - 1e-9)
-    if np.any(risky):
-        zm = z[risky] - np.exp(1j * (0.5 * (a + b)))
-        half = (np.mod(np.angle(zm) - np.angle(za[risky]), TWO_PI)
-                + np.mod(np.angle(zb[risky]) - np.angle(zm), TWO_PI))
-        # halves sum to the true increment modulo 2*pi, and only the total's
-        # side of pi is needed to pick the branch
-        p_fixed = np.where(half > math.pi, np.maximum(p[risky], TWO_PI - 1e-12),
-                           np.minimum(p[risky], 1e-12))
-        p = p.copy()
-        p[risky] = p_fixed
-    log_ratio = np.log(np.abs(zb) / np.abs(za)) + 1j * p
-    return (1j * (b - a) - log_ratio) / (1j * z)
+    return complex(averaged_kernel_batch(np.array([z]), arc)[0])
 
 
 def averaged_kernel_batch(z, arc) -> np.ndarray:
-    """Exact vectorized mean kernel over an arc for an array of points.
+    """Arc mean (1/l) int_a^b dtheta/(z - e^(i theta)) at an array of points.
 
-    Same value as `averaged_kernel` (cross-checked to 1e-10 in tests) but in
-    closed form: power series near the origin, branch-tracked logarithms
-    elsewhere, and a complement expansion for near-full arcs. Used by the
-    defect quadratures, where the kernel is evaluated at ~1e5 points.
+    `arc` is (a, b): floats, or arrays of z's shape giving each point its
+    own arc. For |z| < 1 the integral is (i/z) Log1p(w), where
+    w = z (e^(-ia) - e^(-ib)) / (1 - z e^(-ia)): 1 + w is the ratio of
+    1 - z e^(-ib) to 1 - z e^(-ia), both in the right half-plane, so the
+    principal log needs no branch tracking. e^(-ia) - e^(-ib) is
+    2i sin(l/2) e^(-i(a+b)/2), with sin(l/2) taken of the shorter of l and
+    2 pi - l, so nothing cancels at small |z|, on short arcs or on the full
+    circle (where it is exactly 0). Log1p(x + iy) is 0.5 log1p(x(2 + x) +
+    y^2) + i atan2(y, 1 + x), since numpy's complex log1p loses the real
+    part of a small w; its real part is log|1 + w| where |1 + w| < 1/2. At
+    z = 0 the mean is the limit -i(e^(-ib) - e^(-ia)) / l.
     """
     a, b = _validate_arc(arc)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
+    # contiguous arc arrays of z's shape: a point's value then does not
+    # depend on whether its arc came alone or one per point
+    a = np.ascontiguousarray(np.broadcast_to(a, z.shape))
+    b = np.ascontiguousarray(np.broadcast_to(b, z.shape))
     length = b - a
-    tau = TWO_PI - length
-    if tau <= 1e-12:
-        # the kernel integrates to zero over the full circle; remove the
-        # (possibly empty) complement arc instead of chasing the wrap branch
-        if tau <= 0.0:
-            return np.zeros_like(z)
-        mid = 0.5 * (a + b) + math.pi
-        return (-tau / (z - np.exp(1j * mid))) / length
-
-    out = np.empty_like(z)
-    near = np.abs(z) <= 0.5
-    if np.any(near):
-        out[near] = _arc_integral_series(z[near], a, b)
-    far = ~near
-    if np.any(far):
-        out[far] = _arc_integral_log(z[far], a, b)
-    return out / length
+    sin_half = np.sin(0.5 * np.minimum(length, TWO_PI - length))
+    mid = 0.5 * (a + b)
+    # e^(-i mid), and e^(-ia) = e^(-i mid) e^(i l/2)
+    turn = np.cos(mid) - 1j * np.sin(mid)
+    chord = 2j * sin_half * turn
+    start = turn * (np.cos(0.5 * length) + 1j * sin_half)
+    w = z * chord / (1.0 - z * start)
+    x, y = w.real, w.imag
+    t = x * (2.0 + x) + y * y
+    log = np.empty_like(w)
+    log.real = 0.5 * np.log1p(np.maximum(t, -0.75))
+    small = t < -0.75
+    if np.any(small):
+        log.real[small] = np.log(np.hypot(1.0 + x[small], y[small]))
+    log.imag = np.arctan2(y, 1.0 + x)
+    zero = z == 0
+    if np.any(zero):
+        z = np.where(zero, 1.0, z)
+        log[zero] = chord[zero]
+    return 1j * log / (z * length)

@@ -9,7 +9,9 @@ at the charge locations. Each dimension handles them its own way:
     blow-up, and the rest of the disc by deterministic adaptive cubature on
     angular-band slices. The zones are two cubature region families indexed
     by pole, one for poles inside (the origin included) and one for poles on
-    the circle; the bulk pieces are a third.
+    the circle; the bulk pieces are a third. Several disc problems can share
+    the three families, which is how a sum of weighted defect integrals
+    (the reduction budget) is refined as one integral.
   * d = 3: the singular surrogates |w_k| c(r)/r^2 have a closed-form mass,
     and randomized quasi-Monte Carlo integrates the bounded residual (field
     magnitude minus the surrogates) over the whole ball. A cluster of
@@ -174,37 +176,13 @@ def _nearest_neighbor_dists(points):
 # d = 2: deterministic zones + angular-band bulk
 # ---------------------------------------------------------------------------
 
-def _zone_regions_2d(poles, on_sphere, t, phi, rho, g):
-    """Polar patch around each pole; the s Jacobian cancels the 1/s kernel.
-
-    Returns the interior and on-sphere zone integrands, families 0 and 1,
-    whose row is the pole index into (poles, t, phi, rho), and the axis-0
-    cuts of the zones keyed by pole index. A pole at the origin
-    (t <= 1e-14) is an interior zone without cuts.
-    """
-
-    def interior(x, k):
-        gamma = -math.pi + TWO_PI * x[:, 0]
-        exit_s = -t[k] * np.cos(gamma) + np.sqrt(
-            np.maximum(1.0 - (t[k] * np.sin(gamma)) ** 2, 0.0))
-        cap = np.minimum(rho[k], exit_s)
-        s = cap * x[:, 1]
-        z = poles[k] + s * np.exp(1j * (phi[k] + gamma))
-        return g(z) * s * cap * TWO_PI
-
-    def rim(x, k):
-        # on-sphere pole: only the inward half-plane meets the disc, and the
-        # chord exit along direction beta (from the inward normal) is 2 cos b
-        beta = -0.5 * math.pi + math.pi * x[:, 0]
-        cap = np.minimum(rho[k], 2.0 * np.cos(beta))
-        s = cap * x[:, 1]
-        psi = phi[k] + math.pi + beta
-        z = poles[k] + s * np.exp(1j * psi)
-        return g(z) * s * cap * math.pi
-
+def _zone_cuts(on_sphere, t, rho):
+    """Axis-0 cuts of the pole zones, keyed by pole index: the directions
+    where a zone's radius cap meets the circle. A pole at the origin
+    (t <= 1e-14) has none."""
     # scalar math.acos, not np.arccos (see the atan2 note in _integrate_disc)
     cuts = {}
-    for k in range(len(poles)):
+    for k in range(len(t)):
         tk, rk = t[k], rho[k]
         if on_sphere[k]:
             bstar = math.acos(rk / 2.0)
@@ -216,7 +194,7 @@ def _zone_regions_2d(poles, on_sphere, t, phi, rho, g):
                 gstar = math.acos(cross)
                 cuts[k] = ((-gstar + math.pi) / TWO_PI,
                            (gstar + math.pi) / TWO_PI)
-    return [interior, rim], cuts
+    return cuts
 
 
 def _bulk_cut_angles(params, extra):
@@ -254,16 +232,15 @@ def _interval_bounds(theta, t, phi, rho):
     return lo, np.maximum(hi, lo)
 
 
-def _bulk_regions_2d(t, phi, rho, extra_cuts, g):
+def _bulk_pieces(t, phi, rho, extra_cuts):
     """Disc-minus-zones as angular bands sliced radially between zones.
 
     Band boundaries include every tangency and rim-crossing angle of every
     zone, so within one band the set of zones met by a ray, and the radial
     ordering of their intervals, are constant; each gap between consecutive
-    intervals becomes one smooth mapped region. All of them form one family,
-    whose row is the piece index into (band start, band span, zone below,
-    zone above), with -1 standing for the origin below or the rim above.
-    Returns the family integrand and the number of pieces.
+    intervals becomes one smooth mapped region. Returns, per piece, its band
+    start and span and the zones below and above it, with -1 standing for
+    the origin below or the rim above.
     """
     angles = np.array(_bulk_cut_angles(zip(t, phi, rho), extra_cuts))
     ends = np.append(angles[1:], angles[0] + TWO_PI)
@@ -290,12 +267,68 @@ def _bulk_regions_2d(t, phi, rho, extra_cuts, g):
     lo_m = np.where(below >= 0, mid_hi[band, below], 0.0)
     hi_m = np.where(above >= 0, mid_lo[band, above], 1.0)
     piece = hi_m - lo_m > 1e-15
-    start = band_lo[band[piece]]
-    span = band_span[band[piece]]
-    below = below[piece]
-    above = above[piece]
+    return (band_lo[band[piece]], band_span[band[piece]], below[piece],
+            above[piece])
 
-    def fn(x, k):
+
+def _integrate_disc(g, problems, rel_tol, max_evals, abs_floor):
+    """Sum of disc integrals, refined in one global adaptive loop.
+
+    Problem p is (poles, zone radii, extra bulk cut angles) and adds the
+    integral of g(z, p) over the unit disc; g takes points and their
+    problem indices, so it can weight each problem. Each zone is a row of the
+    interior or on-sphere zone family (0, 1), each bulk piece of the bulk
+    family (2): every zone, problem by problem in pole order, then every
+    piece. A round is at most three integrand calls however many problems
+    there are, and refinement goes where the summed error is.
+    """
+    zones, pieces, cuts = [], [], {}
+    offset = 0
+    for pole_p, radii_p, extra in problems:
+        # scalar math.atan2, not np.arctan2: the two can differ in the last
+        # bit, and every cut angle and zone parameter derives from phi. A
+        # pole at the origin gets phi = 0 whatever the signs of its zeros
+        t = np.array([abs(z) for z in pole_p])
+        phi = np.array([math.atan2(z.imag, z.real) if z else 0.0
+                        for z in pole_p])
+        rho = np.asarray(radii_p, dtype=float)
+        on_sphere = _on_sphere(t)
+        cuts.update((offset + k, c)
+                    for k, c in _zone_cuts(on_sphere, t, rho).items())
+        start, span, below, above = _bulk_pieces(t, phi, rho, extra)
+        # zone indices count past the earlier problems' zones; -1 stays
+        below, above = (np.where(z >= 0, z + offset, -1)
+                        for z in (below, above))
+        zones.append((pole_p, on_sphere, t, phi, rho))
+        pieces.append((start, span, below, above))
+        offset += t.size
+    poles, on_sphere, t, phi, rho = map(np.concatenate, zip(*zones))
+    start, span, below, above = map(np.concatenate, zip(*pieces))
+    zprob, bprob = (np.repeat(np.arange(len(problems)),
+                              [part[0].size for part in parts])
+                    for parts in (zones, pieces))
+
+    def interior(x, k):
+        gamma = -math.pi + TWO_PI * x[:, 0]
+        exit_s = -t[k] * np.cos(gamma) + np.sqrt(
+            np.maximum(1.0 - (t[k] * np.sin(gamma)) ** 2, 0.0))
+        cap = np.minimum(rho[k], exit_s)
+        s = cap * x[:, 1]
+        z = poles[k] + s * np.exp(1j * (phi[k] + gamma))
+        # the s Jacobian cancels the 1/s blow-up at the pole
+        return g(z, zprob[k]) * s * cap * TWO_PI
+
+    def rim(x, k):
+        # on-sphere pole: only the inward half-plane meets the disc, and the
+        # chord exit along direction beta (from the inward normal) is 2 cos b
+        beta = -0.5 * math.pi + math.pi * x[:, 0]
+        cap = np.minimum(rho[k], 2.0 * np.cos(beta))
+        s = cap * x[:, 1]
+        psi = phi[k] + math.pi + beta
+        z = poles[k] + s * np.exp(1j * psi)
+        return g(z, zprob[k]) * s * cap * math.pi
+
+    def bulk(x, k):
         theta = start[k] + span[k] * x[:, 0]
         zb, za = below[k], above[k]
         a = np.where(zb >= 0,
@@ -305,27 +338,14 @@ def _bulk_regions_2d(t, phi, rho, extra_cuts, g):
         width = np.maximum(b - a, 0.0)
         s = a + width * x[:, 1]
         z = s * np.exp(1j * theta)
-        return g(z) * s * width * span[k]
+        return g(z, bprob[k]) * s * width * span[k]
 
-    return fn, start.size
-
-
-def _integrate_disc(g, poles, on_sphere, radii, extra_cuts, rel_tol,
-                    max_evals, abs_floor):
-    # scalar math.atan2, not np.arctan2: the two can differ in the last bit,
-    # and every cut angle and zone parameter derives from phi. A pole at the
-    # origin gets phi = 0 whatever the signs of its zeros
-    t = np.array([abs(p) for p in poles])
-    phi = np.array([math.atan2(p.imag, p.real) if p else 0.0 for p in poles])
-    rho = np.asarray(radii, dtype=float)
-    fns, cuts = _zone_regions_2d(poles, on_sphere, t, phi, rho, g)
-    bulk, n_pieces = _bulk_regions_2d(t, phi, rho, extra_cuts, g)
-    # (family, row) per region: the zones in pole order, then the pieces
+    # (family, row) per region: the zones, then the pieces
     regions = np.column_stack([
-        np.concatenate([on_sphere, np.full(n_pieces, 2)]),
-        np.concatenate([np.arange(len(poles)), np.arange(n_pieces)])])
-    res = integrate_regions(fns + [bulk], 2, regions, cuts, rel_tol, max_evals,
-                            abs_floor=abs_floor)
+        np.concatenate([on_sphere, np.full(start.size, 2)]),
+        np.concatenate([np.arange(t.size), np.arange(start.size)])])
+    res = integrate_regions([interior, rim, bulk], 2, regions, cuts, rel_tol,
+                            max_evals, abs_floor=abs_floor)
     return QuadratureResult(float(res.value), float(res.error), res.evals,
                             res.converged, "adaptive")
 
@@ -338,10 +358,10 @@ def _energy_adaptive_2d(config, spec):
     radii = np.minimum(DEFAULT_POLE_RADIUS,
                        0.5 * _nearest_neighbor_dists(config.positions))
 
-    def g(z):
+    def g(z, p):
         return _cauchy_abs_batch(poles, weights, z)
 
-    return _integrate_disc(g, poles, config.boundary, radii, (),
+    return _integrate_disc(g, [(poles, radii, ())],
                            spec.rel_tolerance, spec.max_evals, abs_floor=1e-14)
 
 
@@ -775,30 +795,45 @@ def l1_defect(z0: complex, arc, spec: QuadratureSpec | None = None) -> Quadratur
         integral over the unit disc of |1/(z - z0) - mean kernel of the arc|
 
     z0 must be the boundary point at the arc midpoint (enforced); the value
-    depends only on the arc length, which callers exploit for caching.
+    depends only on the arc length, which callers exploit for caching. The
+    one-arc case of `_defect_sum`.
     """
     spec = spec or QuadratureSpec()
-    a, b = _validate_arc(arc)
-    length = b - a
-    z0 = complex(z0)
+    a, b = map(float, _validate_arc(arc))
     mid = 0.5 * (a + b)
-    anchor = complex(math.cos(mid), math.sin(mid))
-    if abs(z0 - anchor) > 1e-9:
+    if abs(complex(z0) - complex(math.cos(mid), math.sin(mid))) > 1e-9:
         raise ValueError("z0 must be the boundary point at the arc midpoint")
-    z0 = anchor
+    return _defect_sum([a], [b], [1.0], spec)
 
-    def g(z):
-        return np.abs(1.0 / (z - z0) - averaged_kernel_batch(z, (a, b)))
 
-    # keep the zone clear of the arc endpoints, where the averaged kernel has
-    # its own (logarithmic, rim-bound) singularities
-    endpoint_gap = math.sin(min(length, TWO_PI - 1e-9) / 4.0)
-    rho = min(DEFAULT_POLE_RADIUS, max(endpoint_gap, 1e-6))
-    extra = [a, b]
-    floor = max(1e-14, 0.05 * spec.rel_tolerance * length)
-    poles = np.array([z0])
-    return _integrate_disc(g, poles, _on_sphere(np.abs(poles)), [rho], extra,
-                           spec.rel_tolerance, spec.max_evals, abs_floor=floor)
+def _defect_sum(a, b, scale, spec):
+    """sum_k scale_k * l1_defect(arc (a_k, b_k)), as one adaptive integral.
+
+    Each arc is a disc problem with one on-circle pole at its midpoint; the
+    sum's error is what converges, against the spec's relative tolerance,
+    and the absolute floor is the sum of the arcs' floors. `max_evals`
+    bounds the whole sum.
+    """
+    a, b, scale = (np.asarray(v, dtype=float) for v in (a, b, scale))
+    length = b - a
+    anchor = np.array([complex(math.cos(m), math.sin(m))
+                       for m in 0.5 * (a + b)])
+
+    def g(z, p):
+        return scale[p] * np.abs(1.0 / (z - anchor[p])
+                                 - averaged_kernel_batch(z, (a[p], b[p])))
+
+    # keep each zone clear of its arc's endpoints, where the averaged kernel
+    # has its own (logarithmic, rim-bound) singularities
+    rho = [min(DEFAULT_POLE_RADIUS,
+               max(math.sin(min(l, TWO_PI - 1e-9) / 4.0), 1e-6))
+           for l in length]
+    problems = [(anchor[k:k + 1], [rho[k]], [a[k], b[k]])
+                for k in range(a.size)]
+    floor = max(1e-14,
+                0.05 * spec.rel_tolerance * float(np.sum(scale * length)))
+    return _integrate_disc(g, problems, spec.rel_tolerance, spec.max_evals,
+                           abs_floor=floor)
 
 
 def two_pole_l1(a: complex, b: complex,
@@ -824,10 +859,10 @@ def two_pole_l1(a: complex, b: complex,
     poles = np.array([a, b])
     signs = np.array([1.0, -1.0])
 
-    def g(z):
+    def g(z, p):
         return _cauchy_abs_batch(poles, signs, z)
 
     radii = np.minimum(DEFAULT_POLE_RADIUS, 0.5 * delta) * np.ones(2)
     floor = max(1e-14, 0.05 * spec.rel_tolerance * delta)
-    return _integrate_disc(g, poles, _on_sphere(np.abs(poles)), radii, (),
+    return _integrate_disc(g, [(poles, radii, ())],
                            spec.rel_tolerance, spec.max_evals, abs_floor=floor)

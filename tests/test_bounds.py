@@ -265,15 +265,25 @@ class TestReductionBudget:
         assert energy.value <= budget.value + 3.0 * (energy.error + budget.error)
 
     def test_unconverged_defect_reaches_verdict(self):
-        # at 1e4 evals the energy converges (4050 evals) but the defect of
-        # the short arc (about 14.6k evals at this tolerance) cannot
-        cfg, part = weighted_arc_config([1.0, 100.0])
-        spec = QuadratureSpec(max_evals=10_000)
+        # at 2e4 evals the energy converges (16,200 evals) but the budget of
+        # eight arc lengths (29,700 evals at this tolerance) cannot
+        cfg, part = weighted_arc_config(np.arange(1.0, 9.0))
+        spec = QuadratureSpec(max_evals=20_000)
         assert not reduction_budget(cfg, part, spec).converged
         report = make_bound_report(cfg, spec, partition=part)
         assert report.energy.converged
         assert not report.converged
         assert report.verdicts["upper_budget"] == "inconclusive"
+
+    def test_max_evals_covers_whole_budget(self):
+        # 64 arc lengths: the energy's initial cells fit in 1.5e5 evals, the
+        # budget's (704 cells of 225 nodes) do not
+        from chargelab import chui_energy
+        cfg, part = weighted_arc_config(np.arange(1.0, 65.0))
+        spec = QuadratureSpec(max_evals=150_000)
+        chui_energy(cfg, spec)
+        with pytest.raises(ValueError, match="initial decomposition"):
+            reduction_budget(cfg, part, spec)
 
     def test_length_cache(self):
         from chargelab import l1_defect
@@ -394,6 +404,25 @@ class TestSuites:
         assert d2["ratio_max_margin"] <= 1e-12
         assert d2["dominance_failures"] == 0
         assert d2["pass"] is True
+
+    # the suites' extremes as exact bits, so a change to a kernel's
+    # summation order fails here first
+    PINNED = {
+        "d2": ("0x1.43fb671ad0000p-15", "0x1.78f5345de2000p-14",
+               "-0x1.bbc7b43487800p-9", "0x1.7ffffffffffffp+1"),
+        "d3": ("0x1.4c616c031a000p-15", "0x1.4ff2307ee0000p-17",
+               "-0x1.6a6b73bd0ff80p-7", "0x1.bfffffffffffdp+2"),
+    }
+
+    def test_bits_pinned(self):
+        out = run_lemma_suites(trials=2_000, seed=1)
+        for key, bits in self.PINNED.items():
+            entry = out[key]
+            got = tuple(entry[k].hex() for k in (
+                "poisson_min_gap", "tangent_min_gap", "ratio_max_margin",
+                "dominance_min_margin"))
+            assert got == bits
+            assert entry["dominance_failures"] == 0
 
     def test_suites_deterministic(self):
         a = run_poisson_suite(5_000, 2, seed=9)

@@ -157,12 +157,21 @@ class TestBoundsCommand:
         assert rep["verdicts"]["lower_theorem11"] == "holds"
 
     def test_unconverged_budget_exits_3(self, capsys):
-        # the energy converges; the short arc's defect does not
-        code, out, _ = _run(capsys, "bounds", "--weights", "1,100",
-                            "--max-evals", "10000")
+        # the energy converges; the budget of eight arc lengths does not
+        code, out, _ = _run(capsys, "bounds", "--weights", "1,2,3,4,5,6,7,8",
+                            "--max-evals", "20000")
         assert code == 3
         rep = json.loads(out)["report"]
         assert rep["verdicts"]["upper_budget"] == "inconclusive"
+
+    def test_budget_beyond_max_evals_exits_2(self, capsys):
+        # max_evals bounds the whole budget: 64 arc lengths start with more
+        # cells than 1.5e5 evals cover, though the energy's fit
+        weights = ",".join(str(k) for k in range(1, 65))
+        code, _, err = _run(capsys, "bounds", "--weights", weights,
+                            "--max-evals", "150000")
+        assert code == 2
+        assert "initial decomposition" in err
 
     def test_violation_outranks_nonconvergence(self, capsys, monkeypatch):
         real = cli.make_bound_report
@@ -174,8 +183,8 @@ class TestBoundsCommand:
 
         monkeypatch.setattr(cli, "make_bound_report", violated)
         # the budget of test_unconverged_budget_exits_3, plus a violation
-        assert _run(capsys, "bounds", "--weights", "1,100",
-                    "--max-evals", "10000")[0] == 1
+        assert _run(capsys, "bounds", "--weights", "1,2,3,4,5,6,7,8",
+                    "--max-evals", "20000")[0] == 1
 
     def test_uniform_csv_columns(self, capsys):
         code, out, _ = _run(capsys, "bounds", "--uniform", "2",

@@ -10,6 +10,8 @@ from chargelab import (ChargeConfiguration, SingularPointError,
 from chargelab.fields import _field_mag, _offsets, averaged_kernel_batch
 from chargelab.rng import substream
 
+from _oracles import averaged_kernel_quad
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -261,7 +263,7 @@ class TestAveragedKernel:
             averaged_kernel(1.0 + 0j, (0.0, 1.0))
 
     def test_batch_matches_adaptive(self):
-        """Closed-form batch route against the quadrature route."""
+        """Closed form against the independent quadrature route."""
         gen = substream(0, "test-kernel-batch")
         for _ in range(25):
             a = -math.pi + TWO_PI * gen.random()
@@ -269,25 +271,25 @@ class TestAveragedKernel:
             r = 0.97 * gen.random()
             z = r * np.exp(1j * TWO_PI * gen.random())
             arc = (a, a + length)
-            ref = averaged_kernel(z, arc)
+            ref = averaged_kernel_quad(z, arc)
             got = averaged_kernel_batch(np.array([z]), arc)[0]
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
     def test_batch_regime_boundary(self):
-        # points straddling the series/log split at |z| = 0.5
+        # points either side of |z| = 0.5
         arc = (0.3, 2.1)
         zs = np.array([0.499 * np.exp(0.9j), 0.501 * np.exp(0.9j)])
         got = averaged_kernel_batch(zs, arc)
         for z, g in zip(zs, got):
-            assert g == pytest.approx(averaged_kernel(complex(z), arc), rel=1e-9)
+            assert g == pytest.approx(averaged_kernel_quad(z, arc), rel=1e-9)
 
     def test_batch_wrap_branch(self):
-        # z radially aligned with an endpoint stresses the branch tracking
+        # z radially aligned with an end of a long arc: 1 + w is far from 1
         arc = (0.5, 0.5 + 6.0)
         zs = np.array([0.8 * np.exp(0.5j), 0.8 * np.exp(1j * (0.5 + 6.0))])
         got = averaged_kernel_batch(zs, arc)
         for z, g in zip(zs, got):
-            assert g == pytest.approx(averaged_kernel(complex(z), arc), rel=1e-8)
+            assert g == pytest.approx(averaged_kernel_quad(z, arc), rel=1e-8)
 
     def test_batch_near_full_arc_small(self):
         out = averaged_kernel_batch(np.array([0.4 + 0.1j]), (0.0, TWO_PI - 1e-10))
@@ -296,3 +298,52 @@ class TestAveragedKernel:
     def test_batch_full_arc_zero(self):
         out = averaged_kernel_batch(np.array([0.4 + 0.1j]), (0.0, TWO_PI))
         assert out[0] == 0j
+
+    def test_origin_exact(self):
+        # z = 0 exactly takes the limit -i (e^(-ib) - e^(-ia)) / l, which
+        # the points next to it approach
+        for arc in ((0.0, math.pi), (-2.0, 0.5), (1.0, 1.0 + 1e-6),
+                    (0.3, 0.3 + TWO_PI - 1e-6)):
+            got = averaged_kernel_batch(np.array([0j, 1e-300 + 0j]), arc)
+            assert np.all(np.isfinite(got))
+            assert got[0] == pytest.approx(got[1], rel=1e-14)
+            assert got[0] == pytest.approx(averaged_kernel_quad(0j, arc),
+                                           rel=1e-9)
+
+    def test_near_circle(self):
+        # |z| = 1 - 1e-9: at the closest-approach angle inside and outside
+        # the arc, and at an arc end
+        arc = (-0.4, 1.3)
+        r = 1.0 - 1e-9
+        for angle in (0.2, 2.0, 1.3, -0.4):
+            z = r * np.exp(1j * angle)
+            got = averaged_kernel_batch(np.array([z]), arc)[0]
+            assert np.isfinite(got)
+            ref = averaged_kernel_quad(z, arc, rel_tol=1e-8)
+            assert got == pytest.approx(ref, rel=1e-6)
+
+    def test_extreme_arc_lengths(self):
+        gen = substream(0, "test-kernel-extreme-arcs")
+        for length in (1e-6, TWO_PI - 1e-6):
+            for _ in range(8):
+                a = -math.pi + TWO_PI * gen.random()
+                z = 0.95 * gen.random() * np.exp(1j * TWO_PI * gen.random())
+                arc = (a, a + length)
+                got = averaged_kernel_batch(np.array([z]), arc)[0]
+                assert got == pytest.approx(averaged_kernel_quad(z, arc),
+                                            rel=1e-9, abs=1e-12)
+
+    def test_per_point_arcs_match_one_arc(self):
+        # one arc per point gives each point the bits of its one-arc call
+        gen = substream(0, "test-kernel-per-point")
+        arcs = [(-0.05, 0.05), (-2.0, 1.0), (0.5, 0.5 + TWO_PI - 1e-3),
+                (-math.pi, math.pi)]
+        zs = np.sqrt(gen.random(50)) * np.exp(1j * TWO_PI * gen.random(50))
+        zs[0] = 0.0
+        a = np.repeat([arc[0] for arc in arcs], zs.size)
+        b = np.repeat([arc[1] for arc in arcs], zs.size)
+        got = averaged_kernel_batch(np.tile(zs, len(arcs)), (a, b))
+        for i, arc in enumerate(arcs):
+            one = averaged_kernel_batch(zs, arc)
+            assert np.array_equal(got[i * zs.size:(i + 1) * zs.size], one)
+        assert averaged_kernel(zs[1], arcs[1]) == got[zs.size + 1]

@@ -13,8 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 import chargelab
 from chargelab import (ChargeConfiguration, QuadratureSpec, chui_energy,
                        fibonacci_sphere_config, l1_defect, merge_configs,
-                       random_config, two_pole_l1, uniform_circle_config,
-                       unit_ball_volume)
+                       random_config, reduction_budget, two_pole_l1,
+                       uniform_circle_config, unit_ball_volume,
+                       weighted_arc_config)
 from chargelab import quadrature
 from chargelab._cubature import integrate_1d
 from chargelab.configurations import _ball_samples, _sphere_points
@@ -388,8 +389,12 @@ class TestDecompositionPins:
             41.692036267387465,
             "0x1.4d894a4f8099cp+5", "0x1.1f61bf8f8b68ap-6"),
         "defect_0.1": (lambda: l1_defect(1.0, (-0.05, 0.05)), 12375,
-                       0.14813440220664695,
-                       "0x1.2f6116e71ed73p-3", "0x1.d316362c992fap-14"),
+                       0.14813440220664634,
+                       "0x1.2f6116e71ed5dp-3", "0x1.d316362c90d98p-14"),
+        # three arc lengths, their defects refined together as one budget
+        "budget_1_2_4": (lambda: reduction_budget(
+            *weighted_arc_config([1.0, 2.0, 4.0])), 7425, 16.6082761769456,
+            "0x1.09bb7fcceead2p+4", "0x1.02372a2aaa08ep-6"),
         "two_pole": (lambda: two_pole_l1(0.5, 0.5 + 0.3j), 3600,
                      4.586880172713139,
                      "0x1.258f71db1e522p+2", "0x1.808055c491680p-10"),
