@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .configurations import (ArcPartition, ChargeConfiguration, _ball_samples,
-                             _dot, _sphere_points)
+                             _sphere_points)
 # l1_defect is unused here; perfbench's tracer patches it by this name
 from .quadrature import (  # noqa: F401
     QuadratureResult, QuadratureSpec, _defect_sum, chui_energy, l1_defect,
@@ -135,6 +135,14 @@ def _tangent_radii(weights, d: int):
     powers = weights ** (2.0 / d)
     G = np.sum(powers, axis=-1)
     return powers / (2.0 ** (d + 2) * G[..., None]), G
+
+
+def _dot(x, y):
+    """<x, y> over the last axis, added component by component in index
+    order: the bits of np.sum(x * y, axis=-1), without numpy's slow
+    reduction over a short axis."""
+    return sum((x[..., c] * y[..., c] for c in range(1, x.shape[-1])),
+               x[..., 0] * y[..., 0])
 
 
 def _tangent_form(x, y, r):

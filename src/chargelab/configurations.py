@@ -237,18 +237,10 @@ def fibonacci_sphere_config(n: int) -> ChargeConfiguration:
     return ChargeConfiguration(pos, np.ones(n))
 
 
-def _dot(x, y):
-    """<x, y> over the last axis, added component by component in index
-    order: the bits of np.sum(x * y, axis=-1), without numpy's slow
-    reduction over a short axis."""
-    return sum((x[..., c] * y[..., c] for c in range(1, x.shape[-1])),
-               x[..., 0] * y[..., 0])
-
-
 def _sphere_points(gen, m, d):
     """m points uniform on S^{d-1}: normalized Gaussian draws from `gen`."""
     v = gen.standard_normal((m, d))
-    return v / np.sqrt(_dot(v, v))[:, None]
+    return v / np.sqrt(np.sum(v * v, axis=1))[:, None]
 
 
 def _ball_samples(gen, m, d, shrink=1.0):
