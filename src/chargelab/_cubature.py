@@ -65,6 +65,8 @@ _UNIT = 0.5 * (XGK + 1.0)  # nodes mapped to [0, 1]
 # points per integrand call (at least one cell's worth, 15^3 in 3-D); bounds
 # the working set of a family call, which may span thousands of cells
 _CALL_POINTS = 1 << 12
+# refinement rounds of `integrate_regions` before it stops unconverged
+_MAX_ROUNDS = 200
 
 
 @lru_cache(maxsize=8)
@@ -156,7 +158,7 @@ def _evaluate(fns, owner, lo, hi):
 
 
 def integrate_regions(fns, dim, regions, cuts, rel_tol, max_evals,
-                      abs_floor=1e-14, max_rounds=200):
+                      abs_floor=1e-14):
     """Globally adaptive cubature across the regions of several families.
 
     Region r is row `regions[r, 1]` of the family integrand
@@ -185,7 +187,7 @@ def integrate_regions(fns, dim, regions, cuts, rel_tol, max_evals,
     errs = errd.sum(axis=1)
 
     converged = False
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         total = vals.sum()
         err_tot = float(errs.sum())
         if err_tot <= max(rel_tol * abs(total), abs_floor):

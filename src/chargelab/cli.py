@@ -30,6 +30,7 @@ CSV columns (fixed order, 17 significant digits):
 from __future__ import annotations
 
 import argparse
+from dataclasses import asdict
 from datetime import datetime, timezone
 from importlib import resources
 import json
@@ -130,21 +131,12 @@ def _make_spec(args) -> QuadratureSpec:
         raise CliError(str(exc)) from exc
 
 
-def _spec_dict(spec: QuadratureSpec) -> dict:
-    return {
-        "method": spec.method,
-        "rel_tolerance": spec.rel_tolerance,
-        "seed": spec.seed,
-        "max_evals": spec.max_evals,
-    }
-
-
 def _meta(command: str, args, spec: QuadratureSpec) -> dict:
     return {
         "version": __version__,
         "command": command,
         "seed": args.seed,
-        "spec": _spec_dict(spec),
+        "spec": asdict(spec),
         "wallclock_utc": datetime.now(timezone.utc).isoformat(),
     }
 

@@ -270,12 +270,17 @@ def random_config(n: int, d: int, seed: int, interior: bool = False) -> ChargeCo
     return ChargeConfiguration(pos, np.ones(n))
 
 
-def _cluster_labels(positions, tol):
-    """Each pole's cluster under `cluster_poles`, labelled by first index."""
+def _pairwise_dists(positions):
+    """(n, n) Euclidean distances between the rows of `positions`."""
     positions = np.asarray(positions, dtype=float)
     diff = positions[:, None, :] - positions[None, :, :]
-    linked = np.sqrt(np.sum(diff * diff, axis=2)) < tol
-    labels = np.arange(positions.shape[0])
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def _cluster_labels(positions, tol):
+    """Each pole's cluster under `cluster_poles`, labelled by first index."""
+    linked = _pairwise_dists(positions) < tol
+    labels = np.arange(linked.shape[0])
     while True:
         # every pole takes the smallest label among its links; the fixed
         # point labels each cluster with its first index

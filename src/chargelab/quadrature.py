@@ -19,8 +19,8 @@ at the charge locations. Each dimension handles them its own way:
     surrogate for its summed weight, which has a closed-form mass too, and
     two strata about its centre: the ball of radius 4D and a halo out to
     0.25 with log-uniform radius. The bulk leaves out what the strata hold.
-  * d >= 4 (or "mc" forced): Monte Carlo sampling half the ball, half near
-    the poles (accuracy degraded and flagged).
+  * d >= 4: Monte Carlo sampling half the ball, half near the poles
+    (accuracy degraded and flagged).
 
 The sampled integrands are two kernels, `_residual_3d` (d = 3) and
 `_importance_ratio` (Monte Carlo). Per chunk of points they build the
@@ -58,7 +58,8 @@ import numpy as np
 from ._cubature import integrate_1d, integrate_regions  # noqa: F401
 from .configurations import (BOUNDARY_SNAP, ChargeConfiguration,
                              _ball_samples, _cluster_labels, _on_sphere,
-                             _sphere_points, merge_coincident)
+                             _pairwise_dists, _sphere_points,
+                             merge_coincident)
 from .fields import (_CACHE_PAIRS, _cauchy_abs_batch, _chunks, _field_mag,
                      _offsets, _pole_sum, _validate_arc, averaged_kernel_batch)
 from .rng import derive_key, substream
@@ -76,8 +77,6 @@ TWO_PI = 2.0 * math.pi
 
 # cap on the d = 2 zone radii (energies, defects and two-pole integrals)
 DEFAULT_POLE_RADIUS = 0.1
-
-_METHODS = ("auto", "mc")
 
 # d = 3 RQMC bulk: replicates, first-round points per replicate, and how
 # many first rounds stay cached (3 x 4096 doubles per replicate, about
@@ -106,43 +105,31 @@ def unit_ball_volume(d: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integration strategy and budget.
+    """Tolerance, seed and evaluation budget of one integral.
 
-    method "auto" resolves by dimension: adaptive (d=2), rqmc (d=3),
-    mc (d>=4). "mc" may be forced in any dimension as a slow cross-check.
-    QuadratureResult.method names the method that ran.
+    The dimension picks the method: adaptive cubature (d=2), RQMC (d=3),
+    Monte Carlo (d>=4). QuadratureResult.method names the method that ran.
     """
 
-    method: str = "auto"
     rel_tolerance: float = 1e-3
     seed: int = 0
     max_evals: int = 10_000_000
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; use one of {_METHODS}")
         if not (0.0 < self.rel_tolerance < 0.5):
             raise ValueError("rel_tolerance must lie in (0, 0.5)")
         if int(self.max_evals) < 1000:
             raise ValueError("max_evals must be at least 1000")
-
-    def resolved_method(self, dimension: int) -> str:
-        if self.method == "mc":
-            return "mc"
-        if dimension == 2:
-            return "adaptive"
-        if dimension == 3:
-            return "rqmc"
-        return "mc"
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
     """Integral estimate with an error figure.
 
-    `error` is a one-sigma-style statistical error for stochastic methods and
-    a conservative Kronrod-Gauss discrepancy estimate for the deterministic
-    path; the `std_error` / `error_bound` views expose whichever applies.
+    `error` is the standard error of the mean over replicates for the
+    stochastic methods ("rqmc", "mc") and, for "adaptive", the summed
+    Kronrod-Gauss discrepancy, a conservative estimate rather than a
+    rigorous bound.
     """
 
     value: float
@@ -152,24 +139,15 @@ class QuadratureResult:
     method: str
     degraded: bool = False
 
-    @property
-    def std_error(self):
-        return self.error if self.method in ("rqmc", "mc") else None
-
-    @property
-    def error_bound(self):
-        return self.error if self.method == "adaptive" else None
-
 
 # ---------------------------------------------------------------------------
 # pole spacing
 # ---------------------------------------------------------------------------
 
 def _nearest_neighbor_dists(points):
-    diff = points[:, None, :] - points[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    return np.sqrt(np.min(d2, axis=1))
+    dist = _pairwise_dists(points)
+    np.fill_diagonal(dist, np.inf)
+    return np.min(dist, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +605,7 @@ def _clusters(positions, weights):
     the cluster whatever the signs) to every other pole; each pole joins
     its finest qualifying cluster. None when no cluster qualifies.
     """
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = _pairwise_dists(positions)
     taken = np.zeros(len(weights), dtype=bool)
     found = []
     for gap in np.unique(dist[(dist > 0.0) & (dist * _CLUSTER_K < _HALO)]):
@@ -705,7 +682,7 @@ def _energy_rqmc_3d(config, spec):
 
 
 # ---------------------------------------------------------------------------
-# d >= 4 (or forced): Monte Carlo with pole importance sampling
+# d >= 4: Monte Carlo with pole importance sampling
 # ---------------------------------------------------------------------------
 
 # half the samples are uniform in the ball, half at a uniform radius below
@@ -780,11 +757,10 @@ def chui_energy(config: ChargeConfiguration,
     functional is defined on the underlying measure, so merging is exact.
     """
     spec = spec or QuadratureSpec()
-    method = spec.resolved_method(config.dimension)
     config = merge_coincident(config)
-    if method == "adaptive":
+    if config.dimension == 2:
         return _energy_adaptive_2d(config, spec)
-    if method == "rqmc":
+    if config.dimension == 3:
         return _energy_rqmc_3d(config, spec)
     return _energy_mc(config, spec)
 

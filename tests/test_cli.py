@@ -31,6 +31,8 @@ class TestEnergyCommand:
         assert doc["energy"] >= math.pi / 18.0
         assert {"version", "seed", "spec", "wallclock_utc", "config",
                 "err", "evals", "method", "degraded"} <= set(doc)
+        assert doc["spec"] == {"rel_tolerance": 1e-3, "seed": 0,
+                               "max_evals": 10_000_000}
 
     def test_config_file(self, capsys, tmp_path):
         path = tmp_path / "single.json"
@@ -58,7 +60,8 @@ class TestEnergyCommand:
         comments = [l for l in lines if l.startswith("# ")]
         assert len(comments) == 5
         assert comments[0].startswith("# version=")
-        assert comments[3].startswith("# spec=")
+        assert comments[3] == (
+            "# spec=max_evals:10000000,rel_tolerance:0.001,seed:0")
         assert comments[4].startswith("# wallclock_utc=")
         header = lines[5]
         assert header == "energy,err,evals,converged,method"
