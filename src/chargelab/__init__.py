@@ -43,7 +43,6 @@ from .bounds import (
     BoundReport,
     DominanceReport,
     ProofGeometry,
-    ReductionBudget,
     WeightStats,
     dominance_check,
     interior_pole_bound,

@@ -64,7 +64,6 @@ __all__ = [
     "DominanceReport",
     "dominance_check",
     "interior_pole_bound",
-    "ReductionBudget",
     "reduction_budget",
     "BoundReport",
     "make_bound_report",
@@ -346,21 +345,8 @@ def interior_pole_bound(config: ChargeConfiguration):
 # weighted-arc reduction budget
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReductionBudget:
-    """Upper budget (A/2pi) * sum l_k * defect(l_k) with its error estimate.
-
-    `converged` is False when the budget's integral missed its tolerance.
-    """
-
-    value: float
-    error: float
-    evals: int
-    converged: bool
-
-
 def reduction_budget(config: ChargeConfiguration, partition: ArcPartition,
-                     spec: QuadratureSpec | None = None) -> ReductionBudget:
+                     spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Evaluate the arc-construction upper budget for a weighted-arc config.
 
     The defect integral depends on the arc only through its length (the
@@ -370,7 +356,9 @@ def reduction_budget(config: ChargeConfiguration, partition: ArcPartition,
     cumulative sums can split equal arcs by an ulp. The weighted defects
     are one integral: its error meets the spec's relative tolerance and
     `spec.max_evals` bounds the whole budget, so a budget whose initial
-    cells alone exceed it raises ValueError.
+    cells alone exceed it raises ValueError. Returns that integral's
+    QuadratureResult (method "adaptive"), the budget
+    (A/2pi) * sum_k l_k * defect(l_k) with its error.
     """
     spec = spec or QuadratureSpec()
     if config.dimension != 2:
@@ -388,11 +376,8 @@ def reduction_budget(config: ChargeConfiguration, partition: ArcPartition,
 
     _, first, counts = np.unique(expected, return_index=True,
                                  return_counts=True)
-    half = 0.5 * lengths[first]
-    res = _defect_sum(-half, half, stats.A / TWO_PI * lengths[first] * counts,
-                      spec)
-    return ReductionBudget(value=res.value, error=res.error, evals=res.evals,
-                           converged=res.converged)
+    return _defect_sum(lengths[first],
+                       stats.A / TWO_PI * lengths[first] * counts, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +406,7 @@ class BoundReport:
     stats: WeightStats
     bounds: dict
     verdicts: dict
-    budget: ReductionBudget | None
+    budget: QuadratureResult | None
 
     @property
     def converged(self) -> bool:
@@ -447,8 +432,8 @@ def make_bound_report(config: ChargeConfiguration,
         raise ValueError("bound reports require positive weights")
     energy = chui_energy(config, spec)
     d = config.dimension
-    bounds = {"lower_theorem11": lower_bound_rhs(config.weights, d,
-                                                 proof_constant(d))}
+    stats = WeightStats.from_weights(config.weights, d)
+    bounds = {"lower_theorem11": proof_constant(d) * stats.ratio_lower}
     if d == 2 and config.is_unit_weight and config.all_boundary:
         bounds["lower_newman"] = NEWMAN_CONSTANT
     if d == 2 and (interior := interior_pole_bound(config)) is not None:
@@ -465,9 +450,8 @@ def make_bound_report(config: ChargeConfiguration,
                                              energy.error + budget.error)
                                     if budget.converged else "inconclusive")
 
-    return BoundReport(energy=energy,
-                       stats=WeightStats.from_weights(config.weights, d),
-                       bounds=bounds, verdicts=verdicts, budget=budget)
+    return BoundReport(energy=energy, stats=stats, bounds=bounds,
+                       verdicts=verdicts, budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -230,8 +230,7 @@ def _cmd_energy(args) -> int:
     doc = _meta("energy", args, spec)
     doc["config"] = config_to_json_dict(cfg)
     doc.update({"energy": res.value, "err": res.error, "evals": res.evals,
-                "converged": res.converged, "method": res.method,
-                "degraded": res.degraded})
+                "converged": res.converged, "method": res.method})
     _emit(doc, ("energy", "err", "evals", "converged", "method"),
           [(res.value, res.error, res.evals, res.converged, res.method)], args)
     return _exit_code(False, res.converged)
@@ -263,7 +262,7 @@ def _defect_rows(levels: int, spec: QuadratureSpec):
     converged = True
     for j in range(levels + 1):
         l = TWO_PI * 2.0 ** (-j)
-        res = l1_defect(1.0, (-0.5 * l, 0.5 * l), spec)
+        res = l1_defect(l, spec)
         rows.append({"l": l, "defect": res.value, "defect_over_l": res.value / l,
                      "err": res.error})
         converged = converged and res.converged
@@ -388,10 +387,11 @@ def _cmd_verify_all(args) -> int:
     for name, position, expected in (("single-d2", [1.0, 0.0], 4.0),
                                      ("single-d3", [0.0, 0.0, 1.0], TWO_PI),
                                      ("interior-origin", [0.0, 0.0], TWO_PI)):
-        energy = chui_energy(ChargeConfiguration([position], [1.0]), spec).value
+        res = chui_energy(ChargeConfiguration([position], [1.0]), spec)
+        converged = converged and res.converged
         _check(checks, f"oracle:{name}",
-               abs(energy - expected) <= expected * 1e-2,
-               {"energy": energy, "expected": expected})
+               abs(res.value - expected) <= expected * 1e-2,
+               {"energy": res.value, "expected": expected})
 
     # defect sweep: finite ratios, no blow-up at small arc lengths
     log("[verify-all] defect sweep")

@@ -177,13 +177,6 @@ class ArcPartition:
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "midpoints", mids)
 
-    @property
-    def n_arcs(self) -> int:
-        return self.starts.size
-
-    def arc(self, k: int) -> tuple:
-        return (float(self.starts[k]), float(self.ends[k]))
-
 
 def uniform_circle_config(n: int) -> ChargeConfiguration:
     """n unit charges at the n-th roots of unity (angles 2*pi*k/n)."""

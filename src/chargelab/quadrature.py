@@ -20,7 +20,7 @@ at the charge locations. Each dimension handles them its own way:
     two strata about its centre: the ball of radius 4D and a halo out to
     0.25 with log-uniform radius. The bulk leaves out what the strata hold.
   * d >= 4: Monte Carlo sampling half the ball, half near the poles
-    (accuracy degraded and flagged).
+    (accuracy degraded).
 
 The sampled integrands are two kernels, `_residual_3d` (d = 3) and
 `_importance_ratio` (Monte Carlo). Per chunk of points they build the
@@ -137,7 +137,6 @@ class QuadratureResult:
     evals: int
     converged: bool
     method: str
-    degraded: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +741,7 @@ def _energy_mc(config, spec):
 
     est, sigma, evals, converged = _replicated_mean(
         sample, 16, 4096, False, 1.0, spec.max_evals, target)
-    return QuadratureResult(est, sigma, evals, converged, "mc", degraded=True)
+    return QuadratureResult(est, sigma, evals, converged, "mc")
 
 
 # ---------------------------------------------------------------------------
@@ -765,38 +764,34 @@ def chui_energy(config: ChargeConfiguration,
     return _energy_mc(config, spec)
 
 
-def l1_defect(z0: complex, arc, spec: QuadratureSpec | None = None) -> QuadratureResult:
-    """Disc L1 distance between a pole kernel and its arc-averaged version.
+def l1_defect(length: float,
+              spec: QuadratureSpec | None = None) -> QuadratureResult:
+    """Disc L1 distance between a boundary pole kernel and its arc average.
 
-        integral over the unit disc of |1/(z - z0) - mean kernel of the arc|
+        integral over the unit disc of |1/(z - 1) - mean kernel of the arc|
 
-    z0 must be the boundary point at the arc midpoint (enforced); the value
-    depends only on the arc length, which callers exploit for caching. The
-    one-arc case of `_defect_sum`.
+    for the arc (-length/2, length/2) centred on the pole at 1. The disc is
+    rotation invariant, so every arc of this length with the pole at its
+    midpoint has the same defect. The one-arc case of `_defect_sum`.
     """
-    spec = spec or QuadratureSpec()
-    a, b = map(float, _validate_arc(arc))
-    mid = 0.5 * (a + b)
-    if abs(complex(z0) - complex(math.cos(mid), math.sin(mid))) > 1e-9:
-        raise ValueError("z0 must be the boundary point at the arc midpoint")
-    return _defect_sum([a], [b], [1.0], spec)
+    return _defect_sum([length], [1.0], spec or QuadratureSpec())
 
 
-def _defect_sum(a, b, scale, spec):
-    """sum_k scale_k * l1_defect(arc (a_k, b_k)), as one adaptive integral.
+def _defect_sum(lengths, scale, spec):
+    """sum_k scale_k * l1_defect(lengths_k), as one adaptive integral.
 
-    Each arc is a disc problem with one on-circle pole at its midpoint; the
-    sum's error is what converges, against the spec's relative tolerance,
-    and the absolute floor is the sum of the arcs' floors. `max_evals`
-    bounds the whole sum.
+    Arc k is (-l_k/2, l_k/2), a disc problem with its one pole at 1; l_k
+    must lie in (0, 2 pi]. The sum's error is what converges, against the
+    spec's relative tolerance, and the absolute floor is the sum of the
+    arcs' floors. `max_evals` bounds the whole sum.
     """
-    a, b, scale = (np.asarray(v, dtype=float) for v in (a, b, scale))
+    half = 0.5 * np.asarray(lengths, dtype=float)
+    a, b = _validate_arc((-half, half))
+    scale = np.asarray(scale, dtype=float)
     length = b - a
-    anchor = np.array([complex(math.cos(m), math.sin(m))
-                       for m in 0.5 * (a + b)])
 
     def g(z, p):
-        return scale[p] * np.abs(1.0 / (z - anchor[p])
+        return scale[p] * np.abs(1.0 / (z - 1.0)
                                  - averaged_kernel_batch(z, (a[p], b[p])))
 
     # keep each zone clear of its arc's endpoints, where the averaged kernel
@@ -804,8 +799,8 @@ def _defect_sum(a, b, scale, spec):
     rho = [min(DEFAULT_POLE_RADIUS,
                max(math.sin(min(l, TWO_PI - 1e-9) / 4.0), 1e-6))
            for l in length]
-    problems = [(anchor[k:k + 1], [rho[k]], [a[k], b[k]])
-                for k in range(a.size)]
+    pole = np.array([1.0 + 0.0j])
+    problems = [(pole, [rho[k]], [a[k], b[k]]) for k in range(a.size)]
     floor = max(1e-14,
                 0.05 * spec.rel_tolerance * float(np.sum(scale * length)))
     return _integrate_disc(g, problems, spec.rel_tolerance, spec.max_evals,

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from chargelab import (BoundReport, ChargeConfiguration, DominanceReport,
-                       NEWMAN_CONSTANT, ProofGeometry, QuadratureSpec,
-                       WeightStats, dominance_check, interior_pole_bound,
-                       lower_bound_rhs, make_bound_report, poisson_gap,
-                       proof_constant, random_config, reduction_budget,
+                       NEWMAN_CONSTANT, ProofGeometry, QuadratureResult,
+                       QuadratureSpec, WeightStats, dominance_check,
+                       interior_pole_bound, lower_bound_rhs,
+                       make_bound_report, poisson_gap, proof_constant,
+                       random_config, reduction_budget,
                        run_lemma_suites, tangent_ball_gap,
                        tangent_ball_ratio_margin, uniform_circle_config,
                        unit_ball_volume, weighted_arc_config)
@@ -261,6 +262,8 @@ class TestReductionBudget:
         spec = QuadratureSpec(rel_tolerance=1e-3)
         budget = reduction_budget(cfg, part, spec)
         energy = chui_energy(cfg, spec)
+        assert isinstance(budget, QuadratureResult)
+        assert budget.method == "adaptive"
         assert budget.converged
         assert energy.value <= budget.value + 3.0 * (energy.error + budget.error)
 
@@ -290,9 +293,7 @@ class TestReductionBudget:
         cfg, part = weighted_arc_config(np.ones(6))
         spec = QuadratureSpec(rel_tolerance=1e-3)
         budget = reduction_budget(cfg, part, spec)
-        one = l1_defect(complex(math.cos(part.midpoints[0]),
-                                math.sin(part.midpoints[0])),
-                        part.arc(0), spec)
+        one = l1_defect(part.lengths[0], spec)
         # cumsum splits these equal arcs by an ulp; one defect serves all six
         assert np.unique(part.lengths).size > 1
         assert budget.evals == one.evals
@@ -358,6 +359,17 @@ class TestBoundReport:
         assert doc["lower_theorem11"] == pytest.approx(
             unit_ball_volume(3) / 256.0)
         assert rep.verdicts["lower_theorem11"] == "holds"
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lower_bound_is_lower_bound_rhs(self, d):
+        # the report forms lower_bound_rhs's product from its own stats
+        gen = substream(0, "test-report-lower-bound", d)
+        cfg = random_config(3, d, seed=d)
+        cfg = ChargeConfiguration(cfg.positions, gen.uniform(0.5, 2.0, 3))
+        rep = make_bound_report(cfg)
+        assert rep.stats == WeightStats.from_weights(cfg.weights, d)
+        assert rep.bounds["lower_theorem11"] == lower_bound_rhs(
+            cfg.weights, d, proof_constant(d))
 
     def test_negative_weights_rejected(self):
         cfg = ChargeConfiguration([[0.5, 0.0], [0.0, 0.5]], [1.0, -1.0])

@@ -29,8 +29,9 @@ class TestEnergyCommand:
         assert doc["command"] == "energy"
         assert doc["converged"] is True
         assert doc["energy"] >= math.pi / 18.0
-        assert {"version", "seed", "spec", "wallclock_utc", "config",
-                "err", "evals", "method", "degraded"} <= set(doc)
+        assert set(doc) == {"version", "command", "seed", "spec",
+                            "wallclock_utc", "config", "energy", "err",
+                            "evals", "converged", "method"}
         assert doc["spec"] == {"rel_tolerance": 1e-3, "seed": 0,
                                "max_evals": 10_000_000}
 
@@ -308,3 +309,18 @@ class TestVerifyAll:
         assert all(c["status"] == "pass" for c in doc["checks"])
         assert doc["tv_ratio_infimum"] > 0
         assert "[verify-all]" in err
+
+    def test_unconverged_oracle_exits_3(self, capsys, monkeypatch, tmp_path):
+        # an oracle energy that misses its tolerance fails the run's
+        # convergence, though its value still passes the check
+        energy = cli.chui_energy
+
+        def unconverged(config, spec=None):
+            return dataclasses.replace(energy(config, spec), converged=False)
+
+        monkeypatch.setattr(cli, "chui_energy", unconverged)
+        out_path = tmp_path / "verify.json"
+        code, _, _ = _run(capsys, "verify-all", "--seed", "1",
+                          "--out", str(out_path))
+        assert code == 3
+        assert json.loads(out_path.read_text())["violations"] == 0

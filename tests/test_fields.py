@@ -333,6 +333,19 @@ class TestAveragedKernel:
                 assert got == pytest.approx(averaged_kernel_quad(z, arc),
                                             rel=1e-9, abs=1e-12)
 
+    def test_rotation_equivariance(self):
+        # turning the point and the arc by phi turns the arc mean by
+        # e^(-i phi), so an arc's defect depends on its length alone
+        gen = substream(0, "test-kernel-rotation")
+        phi, l = 2.0, 0.8
+        zs = (0.99 * np.sqrt(gen.random(200))
+              * np.exp(1j * TWO_PI * gen.random(200)))
+        base = averaged_kernel_batch(zs, (-l / 2, l / 2))
+        turned = averaged_kernel_batch(zs * np.exp(1j * phi),
+                                       (phi - l / 2, phi + l / 2))
+        assert np.all(np.abs(turned - np.exp(-1j * phi) * base)
+                      <= 1e-13 * np.abs(base))
+
     def test_per_point_arcs_match_one_arc(self):
         # one arc per point gives each point the bits of its one-arc call
         gen = substream(0, "test-kernel-per-point")

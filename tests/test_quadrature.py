@@ -211,7 +211,6 @@ class TestHigherDimension:
         res = chui_energy(_single(1.0, 4), QuadratureSpec(rel_tolerance=5e-3,
                                                           seed=3))
         assert res.method == "mc"
-        assert res.degraded
         diff = abs(res.value - FROZEN_SINGLE_4D_BOUNDARY)
         assert diff <= 4.0 * res.error
 
@@ -294,35 +293,21 @@ class TestInvariances:
 class TestArcDefect:
     def test_full_circle_value(self):
         # removing the full-circle average costs exactly the single-pole energy
-        res = l1_defect(1.0, (-math.pi, math.pi))
+        res = l1_defect(2.0 * math.pi)
         assert res.converged
         assert abs(res.value - 4.0) <= 3.0 * res.error + 1e-9
 
-    def test_midpoint_enforced(self):
-        with pytest.raises(ValueError):
-            l1_defect(1.0, (0.0, 1.0))
-
     def test_quarter_arc_bracketed(self):
-        full = l1_defect(1.0, (-math.pi, math.pi))
-        quarter = l1_defect(1.0, (-math.pi / 4, math.pi / 4))
+        full = l1_defect(2.0 * math.pi)
+        quarter = l1_defect(math.pi / 2)
         assert 0.0 < quarter.value < full.value
 
     def test_arc_validation(self):
-        with pytest.raises(ValueError):
-            l1_defect(1.0, (1.0, 1.0))
-        with pytest.raises(ValueError):
-            l1_defect(1.0, (-4.0, 4.0))
-        for bad in ((math.nan, 0.5), (-0.5, math.nan), (-math.inf, 0.0)):
+        for bad in (0.0, -0.5, 8.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                l1_defect(1.0, bad)
-
-    def test_rotation_invariance(self):
-        spec = QuadratureSpec(rel_tolerance=1e-3)
-        l = 0.8
-        a = l1_defect(1.0, (-l / 2, l / 2), spec)
-        z0 = complex(math.cos(2.0), math.sin(2.0))
-        b = l1_defect(z0, (2.0 - l / 2, 2.0 + l / 2), spec)
-        assert abs(a.value - b.value) <= 2.0 * (a.error + b.error) + 1e-9
+                l1_defect(bad)
+        # rounding slack past 2 pi is clipped to the full circle
+        assert l1_defect(2.0 * math.pi + 1e-12).converged
 
 
 class TestTwoPoleCancellation:
@@ -373,7 +358,7 @@ class TestDecompositionPins:
             random_config(16, 2, seed=7, interior=True)), 29475,
             41.692036267387465,
             "0x1.4d894a4f8099cp+5", "0x1.1f61bf8f8b68ap-6"),
-        "defect_0.1": (lambda: l1_defect(1.0, (-0.05, 0.05)), 12375,
+        "defect_0.1": (lambda: l1_defect(0.1), 12375,
                        0.14813440220664634,
                        "0x1.2f6116e71ed5dp-3", "0x1.d316362c90d98p-14"),
         # three arc lengths, their defects refined together as one budget
