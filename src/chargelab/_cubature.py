@@ -5,13 +5,15 @@ only in their parameters share one vectorized integrand over [0,1]^dim,
 called as `fn(x, rows)`, where `rows[i]` is the row of point `x[i]`'s region
 in a parameter table the integrand closes over. The values already include
 the geometric Jacobian of whatever map produced them. A caller describes its
-regions as a table of (family index, row) pairs, plus the axis-0 cuts of the
-few regions that need them; a lone region is a one-row family.
-`integrate_regions` runs one global refinement loop over every region at
-once, bisecting the worst cells along their worst axis until the summed
-Kronrod-vs-Gauss error estimate meets the relative tolerance or the
-evaluation budget runs out. Deterministic: cell ordering, tie-breaking and
-summation order are fixed functions of the inputs.
+regions as a table of (family index, row) pairs and nothing else: a region
+that must start split (at a kink of its integrand, say) is several rows, one
+per piece, and a lone region is a one-row family. `integrate_regions` starts
+every region as one cell and runs one global refinement loop over all of
+them at once, bisecting the worst cells along their worst axis until the
+summed Kronrod-vs-Gauss error estimate meets the relative tolerance (or
+falls to the absolute floor _ABS_FLOOR) or the evaluation budget runs out.
+`split_intervals` cuts intervals into such pieces. Deterministic: cell
+ordering, tie-breaking and summation order are fixed functions of the inputs.
 
 Cells are evaluated family by family, one integrand call per bounded chunk
 of cells, so a decomposition into hundreds of small regions costs a handful
@@ -24,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["CubatureResult", "integrate_regions", "integrate_1d"]
+__all__ = ["CubatureResult", "integrate_regions", "integrate_1d",
+           "split_intervals"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (QUADPACK dqk15).
 _XGK_HALF = np.array([
@@ -67,6 +70,8 @@ _UNIT = 0.5 * (XGK + 1.0)  # nodes mapped to [0, 1]
 _CALL_POINTS = 1 << 12
 # refinement rounds of `integrate_regions` before it stops unconverged
 _MAX_ROUNDS = 200
+# summed error at or below which any integral counts as converged
+_ABS_FLOOR = 1e-14
 
 
 @lru_cache(maxsize=8)
@@ -95,32 +100,29 @@ class CubatureResult:
     n_cells: int
 
 
-def _initial_cells(n_regions, cuts, dim):
-    """(region, lo, hi) of the initial cells: regions in order, and within
-    region r its pieces between the axis-0 cuts `cuts[r]` in ascending order.
+def split_intervals(lo, hi, cuts):
+    """Pieces of each interval [lo_i, hi_i] between its cuts `cuts[i]`.
 
-    Cuts within 1e-12 of the box ends or of the previous cut are dropped.
+    `cuts` is (intervals, c), nan where an interval has fewer than c cuts.
+    A cut within 1e-12 of the interval's width of either end or of the
+    cut below it is dropped, so no piece is a sliver. Returns (interval,
+    start, span) per piece: intervals in order, each one's pieces
+    ascending.
     """
-    where = np.repeat(np.fromiter(cuts, np.int64, len(cuts)),
-                      [len(c) for c in cuts.values()])
-    pos = np.array([x for c in cuts.values() for x in c], dtype=float)
-    order = np.lexsort((pos, where))
-    where, pos = where[order], pos[order]
-    inside = (pos > 1e-12) & (pos < 1.0 - 1e-12)
-    where, pos = where[inside], pos[inside]
-    fresh = np.ones(pos.size, dtype=bool)
-    fresh[1:] = (where[1:] != where[:-1]) | (np.diff(pos) > 1e-12)
-    where, pos = where[fresh], pos[fresh]
-    region = np.repeat(np.arange(n_regions),
-                       1 + np.bincount(where, minlength=n_regions))
-    lo = np.zeros((region.size, dim))
-    hi = np.ones((region.size, dim))
-    # kept cut i, of region w, ends cell i + w: every region has one cell
-    # more than it has kept cuts
-    at = np.arange(pos.size) + where
-    hi[at, 0] = pos
-    lo[at + 1, 0] = pos
-    return region, lo, hi
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    cuts = np.asarray(cuts, dtype=float).reshape(lo.size, -1)
+    gap = (1e-12 * (hi - lo))[:, None]
+    # a cut outside the interval's open inside (or nan) sinks to lo, where
+    # the gap test below drops it
+    inside = (cuts - lo[:, None] > gap) & (hi[:, None] - cuts > gap)
+    edges = np.sort(np.column_stack([lo, np.where(inside, cuts, lo[:, None]),
+                                     hi]), axis=1)
+    keep = np.ones(edges.shape, dtype=bool)
+    keep[:, 1:] = np.diff(edges, axis=1) > gap
+    owner, edge = np.nonzero(keep)[0], edges[keep]
+    same = owner[1:] == owner[:-1]
+    return owner[:-1][same], edge[:-1][same], np.diff(edge)[same]
 
 
 def _evaluate(fns, owner, lo, hi):
@@ -157,31 +159,29 @@ def _evaluate(fns, owner, lo, hi):
     return vals, errd, m * p
 
 
-def integrate_regions(fns, dim, regions, cuts, rel_tol, max_evals,
-                      abs_floor=1e-14):
+def integrate_regions(fns, dim, regions, rel_tol, max_evals):
     """Globally adaptive cubature across the regions of several families.
 
     Region r is row `regions[r, 1]` of the family integrand
     `fns[regions[r, 0]]` over [0,1]^dim, which is only ever called on
-    strictly interior points. `cuts` maps a region index to the axis-0
-    positions where that region is cut before refinement (regions not in it
-    start as one cell). Returns a CubatureResult whose `error` is the summed
-    Kronrod-Gauss discrepancy (a conservative estimate, not a rigorous
-    bound).
+    strictly interior points; each region starts as one cell. Returns a
+    CubatureResult whose `error` is the summed Kronrod-Gauss discrepancy (a
+    conservative estimate, not a rigorous bound).
     """
-    regions = np.asarray(regions, dtype=np.int64).reshape(-1, 2)
-    if not regions.size:
+    owner = np.asarray(regions, dtype=np.int64).reshape(-1, 2)
+    n = owner.shape[0]
+    if not n:
         return CubatureResult(0.0, 0.0, 0, True, 0)
-    region, lo, hi = _initial_cells(regions.shape[0], cuts, dim)
-    owner = regions[region]
-    birth = np.arange(region.size, dtype=np.int64)
-    next_birth = region.size
+    lo = np.zeros((n, dim))
+    hi = np.ones((n, dim))
+    birth = np.arange(n, dtype=np.int64)
+    next_birth = n
 
     p = 15 ** dim
-    if (region.size * p) > max_evals:
+    if n * p > max_evals:
         raise ValueError(
             f"max_evals={max_evals} cannot cover the initial decomposition "
-            f"({region.size} cells x {p} nodes); raise max_evals"
+            f"({n} cells x {p} nodes); raise max_evals"
         )
     vals, errd, evals = _evaluate(fns, owner, lo, hi)
     errs = errd.sum(axis=1)
@@ -190,7 +190,7 @@ def integrate_regions(fns, dim, regions, cuts, rel_tol, max_evals,
     for _ in range(_MAX_ROUNDS):
         total = vals.sum()
         err_tot = float(errs.sum())
-        if err_tot <= max(rel_tol * abs(total), abs_floor):
+        if err_tot <= max(rel_tol * abs(total), _ABS_FLOOR):
             converged = True
             break
         # split the cells carrying the bulk of the error, biggest first
@@ -230,22 +230,21 @@ def integrate_regions(fns, dim, regions, cuts, rel_tol, max_evals,
     total = vals.sum()
     err_tot = float(errs.sum())
     if not converged:
-        converged = err_tot <= max(rel_tol * abs(total), abs_floor)
+        converged = err_tot <= max(rel_tol * abs(total), _ABS_FLOOR)
     value = complex(total) if total.imag != 0.0 else float(total.real)
     return CubatureResult(value, err_tot, int(evals), bool(converged),
                           int(owner.shape[0]))
 
 
 def integrate_1d(fn, a, b, rel_tol, max_evals=200_000, cuts=None):
-    """Adaptive GK15 of a vectorized scalar/complex integrand over [a, b]."""
-    width = b - a
-    if width <= 0:
+    """Adaptive GK15 of a vectorized scalar/complex integrand over [a, b],
+    one row per piece between `cuts` (see `split_intervals`)."""
+    if b - a <= 0:
         raise ValueError("need b > a")
+    _, start, span = split_intervals([a], [b], [] if cuts is None else cuts)
 
     def mapped(pts, rows):
-        return fn(a + width * pts[:, 0]) * width
+        return fn(start[rows] + span[rows] * pts[:, 0]) * span[rows]
 
-    region_cuts = {} if cuts is None else {
-        0: (np.asarray(cuts, dtype=float) - a) / width}
-    return integrate_regions([mapped], 1, [(0, 0)], region_cuts, rel_tol,
-                             max_evals)
+    regions = [(0, r) for r in range(start.size)]
+    return integrate_regions([mapped], 1, regions, rel_tol, max_evals)

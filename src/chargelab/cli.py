@@ -244,8 +244,6 @@ _BOUNDS_COLUMNS = ("energy", "err", "A", "B", "G", "ratio_lower", "ratio_upper",
 def _cmd_bounds(args) -> int:
     spec = _make_spec(args)
     cfg, part = _resolve_config(args)
-    if not cfg.is_positive:
-        raise CliError("bound reports require positive weights")
     report = make_bound_report(cfg, spec, partition=part)
     rd = report.to_json_dict()
     doc = _meta("bounds", args, spec)
@@ -316,10 +314,6 @@ def _cmd_lemma_suite(args) -> int:
 def _cmd_optimize(args) -> int:
     spec = _make_spec(args)
     cfg, _ = _resolve_config(args)
-    if not cfg.is_positive:
-        raise CliError("optimization requires positive weights")
-    if args.budget < 100:
-        raise CliError("--budget must be >= 100")
     trace = minimize_positions(cfg.weights, cfg.dimension, seed=args.seed,
                                budget=args.budget, spec=spec)
     doc = _meta("optimize", args, spec)
@@ -329,10 +323,11 @@ def _cmd_optimize(args) -> int:
     doc["best_energy"] = trace.best_energy
     doc["best_err"] = trace.best_error
     doc["run"] = trace.meta
+    doc["converged"] = trace.converged
     _emit_json(doc, args.out)
     if args.out:
         trace.write_jsonl(Path(args.out).with_suffix(".trace.jsonl"))
-    return EXIT_OK
+    return _exit_code(False, trace.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +436,7 @@ def _cmd_verify_all(args) -> int:
            cert.max_gradient <= cert.gradient_error,
            {"max_gradient": cert.max_gradient,
             "bar": cert.gradient_error, "verdict": cert.verdict})
+    converged = converged and trace.converged and cert.converged
 
     doc = _meta("verify-all", args, spec)
     doc["checks"] = checks

@@ -67,6 +67,7 @@ class OptimizationTrace:
     Accepted energies are non-increasing up to twice the quadrature error
     (merges re-evaluate an equivalent configuration, so they may wobble
     within the error band). `best` is always the minimal-energy iterate.
+    `converged` is True when every energy of the run met its tolerance.
     """
 
     iterates: list
@@ -74,6 +75,7 @@ class OptimizationTrace:
     best_energy: float
     best_error: float
     meta: dict
+    converged: bool
 
     def write_jsonl(self, path) -> None:
         """One line per iterate: {iter, angles_or_points, energy, err}."""
@@ -112,12 +114,14 @@ class _Run:
         self.best = None
         self.best_energy = math.inf
         self.best_error = math.inf
+        self.converged = True
 
     def energy(self, config, event="improve"):
         if self.evals >= self.budget:
             raise _BudgetExhausted
         self.evals += 1
         res = chui_energy(config, self.spec)
+        self.converged = self.converged and res.converged
         if res.value < self.best_energy:
             self.best = config
             self.best_energy = res.value
@@ -274,7 +278,8 @@ def minimize_positions(weights, d: int, seed: int = 0, budget: int = 1000,
         best_error=run.best_error,
         meta={"method": "projected-pattern-search", "seed": seed,
               "evaluations": run.evals, "stop_reason": stop,
-              "events": run.events})
+              "events": run.events},
+        converged=run.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +295,8 @@ class CertificateReport:
     within its error bar of zero and smallest second difference positive
     beyond its bar. "not_minimal": a difference significantly (3x) violates
     minimality. Otherwise "inconclusive" (quadrature error dominates).
+    `converged` is True when every energy behind the differences met its
+    tolerance.
     """
 
     h: float
@@ -300,6 +307,7 @@ class CertificateReport:
     min_second_diff: float
     second_diff_error: float
     verdict: str
+    converged: bool
 
 
 def _tangent_frame(x):
@@ -331,6 +339,7 @@ def local_min_certificate(config: ChargeConfiguration, h: float = 0.02,
     spec = spec or QuadratureSpec(rel_tolerance=1e-5)
 
     base = chui_energy(config, spec)
+    converged = base.converged
     grads, seconds = [], []
     g_err = s_err = 0.0
     for k in range(config.n_charges):
@@ -342,6 +351,7 @@ def local_min_certificate(config: ChargeConfiguration, h: float = 0.02,
             minus[k] = x * math.cos(h) - t * math.sin(h)
             ep = chui_energy(ChargeConfiguration(plus, config.weights), spec)
             em = chui_energy(ChargeConfiguration(minus, config.weights), spec)
+            converged = converged and ep.converged and em.converged
             grads.append((ep.value - em.value) / (2.0 * h))
             seconds.append((ep.value - 2.0 * base.value + em.value) / (h * h))
             g_err = max(g_err, (ep.error + em.error) / (2.0 * h))
@@ -360,4 +370,4 @@ def local_min_certificate(config: ChargeConfiguration, h: float = 0.02,
     return CertificateReport(h=h, gradients=grads, second_diffs=seconds,
                              max_gradient=max_g, gradient_error=g_err,
                              min_second_diff=min_s, second_diff_error=s_err,
-                             verdict=verdict)
+                             verdict=verdict, converged=converged)

@@ -7,11 +7,13 @@ at the charge locations. Each dimension handles them its own way:
     at most DEFAULT_POLE_RADIUS, clipped to the unit disc) is integrated in
     pole-centered polar coordinates, where the s Jacobian cancels the ~ w/s
     blow-up, and the rest of the disc by deterministic adaptive cubature on
-    angular-band slices. The zones are two cubature region families indexed
-    by pole, one for poles inside (the origin included) and one for poles on
-    the circle; the bulk pieces are a third. Several disc problems can share
-    the three families, which is how a sum of weighted defect integrals
-    (the reduction budget) is refined as one integral.
+    angular-band slices. There are two cubature region families: the zones,
+    one row per piece of a pole's direction range between the directions
+    where its zone meets the circle (a pole on the circle has only the
+    inward half of the directions), and the bulk pieces. Every region is
+    one row and starts as one cell. Several disc problems can share the two
+    families, which is how a sum of weighted defect integrals (the
+    reduction budget) is refined as one integral.
   * d = 3: the singular surrogates |w_k| c(r)/r^2 have a closed-form mass,
     and randomized quasi-Monte Carlo integrates the bounded residual (field
     magnitude minus the surrogates) over the whole ball. A cluster of
@@ -55,7 +57,8 @@ import math
 import numpy as np
 
 # integrate_1d is unused here; perfbench's tracer patches it by this name
-from ._cubature import integrate_1d, integrate_regions  # noqa: F401
+from ._cubature import integrate_1d  # noqa: F401
+from ._cubature import integrate_regions, split_intervals
 from .configurations import (BOUNDARY_SNAP, ChargeConfiguration,
                              _ball_samples, _cluster_labels, _on_sphere,
                              _pairwise_dists, _sphere_points,
@@ -153,25 +156,28 @@ def _nearest_neighbor_dists(points):
 # d = 2: deterministic zones + angular-band bulk
 # ---------------------------------------------------------------------------
 
-def _zone_cuts(on_sphere, t, rho):
-    """Axis-0 cuts of the pole zones, keyed by pole index: the directions
-    where a zone's radius cap meets the circle. A pole at the origin
-    (t <= 1e-14) has none."""
+def _zone_rows(on_sphere, t, rho):
+    """Rows (pole, start, span) of the pole-zone family.
+
+    A zone is integrated over the direction gamma, measured from its pole's
+    outward radius, and the distance from the pole. An interior pole covers
+    gamma in [-pi, pi], a pole on the circle only the inward half
+    [pi/2, 3pi/2]. Each range is cut, through `split_intervals`, at the
+    directions +-acos((1 - t^2 - rho^2) / (2 rho t)) where the zone's radius
+    cap meets the circle, taken mod 2 pi into the range; a pole at the
+    origin has none. Each piece is one row, in pole order.
+    """
+    with np.errstate(divide="ignore"):
+        cross = (1.0 - t * t - rho * rho) / (2.0 * rho * t)
+    meets = np.abs(cross) < 1.0
     # scalar math.acos, not np.arccos (see the atan2 note in _integrate_disc)
-    cuts = {}
-    for k in range(len(t)):
-        tk, rk = t[k], rho[k]
-        if on_sphere[k]:
-            bstar = math.acos(rk / 2.0)
-            cuts[k] = ((-bstar + 0.5 * math.pi) / math.pi,
-                       (bstar + 0.5 * math.pi) / math.pi)
-        elif tk > 1e-14:
-            cross = (1.0 - tk * tk - rk * rk) / (2.0 * rk * tk)
-            if -1.0 < cross < 1.0:
-                gstar = math.acos(cross)
-                cuts[k] = ((-gstar + math.pi) / TWO_PI,
-                           (gstar + math.pi) / TWO_PI)
-    return cuts
+    g = np.array([math.acos(c) for c in cross[meets]])
+    cuts = np.full((t.size, 2), np.nan)
+    cuts[meets] = np.column_stack([-g, g])
+    cuts[on_sphere] %= TWO_PI
+    lo = np.where(on_sphere, 0.5 * math.pi, -math.pi)
+    return split_intervals(lo, lo + np.where(on_sphere, math.pi, TWO_PI),
+                           cuts)
 
 
 def _bulk_cut_angles(params, extra):
@@ -248,18 +254,18 @@ def _bulk_pieces(t, phi, rho, extra_cuts):
             above[piece])
 
 
-def _integrate_disc(g, problems, rel_tol, max_evals, abs_floor):
+def _integrate_disc(g, problems, rel_tol, max_evals):
     """Sum of disc integrals, refined in one global adaptive loop.
 
     Problem p is (poles, zone radii, extra bulk cut angles) and adds the
     integral of g(z, p) over the unit disc; g takes points and their
-    problem indices, so it can weight each problem. Each zone is a row of the
-    interior or on-sphere zone family (0, 1), each bulk piece of the bulk
-    family (2): every zone, problem by problem in pole order, then every
-    piece. A round is at most three integrand calls however many problems
-    there are, and refinement goes where the summed error is.
+    problem indices, so it can weight each problem. Two region families
+    cover the discs: the pole zones (family 0, `_zone_rows`, problem by
+    problem in pole order) and the bulk pieces (family 1). A round is at
+    most two integrand calls however many problems there are, and
+    refinement goes where the summed error is.
     """
-    zones, pieces, cuts = [], [], {}
+    zones, pieces = [], []
     offset = 0
     for pole_p, radii_p, extra in problems:
         # scalar math.atan2, not np.arctan2: the two can differ in the last
@@ -269,41 +275,35 @@ def _integrate_disc(g, problems, rel_tol, max_evals, abs_floor):
         phi = np.array([math.atan2(z.imag, z.real) if z else 0.0
                         for z in pole_p])
         rho = np.asarray(radii_p, dtype=float)
-        on_sphere = _on_sphere(t)
-        cuts.update((offset + k, c)
-                    for k, c in _zone_cuts(on_sphere, t, rho).items())
         start, span, below, above = _bulk_pieces(t, phi, rho, extra)
         # zone indices count past the earlier problems' zones; -1 stays
         below, above = (np.where(z >= 0, z + offset, -1)
                         for z in (below, above))
-        zones.append((pole_p, on_sphere, t, phi, rho))
+        zones.append((pole_p, t, phi, rho))
         pieces.append((start, span, below, above))
         offset += t.size
-    poles, on_sphere, t, phi, rho = map(np.concatenate, zip(*zones))
+    poles, t, phi, rho = map(np.concatenate, zip(*zones))
     start, span, below, above = map(np.concatenate, zip(*pieces))
+    pole, gstart, gspan = _zone_rows(_on_sphere(t), t, rho)
     zprob, bprob = (np.repeat(np.arange(len(problems)),
                               [part[0].size for part in parts])
                     for parts in (zones, pieces))
+    zprob = zprob[pole]
+    t_gap = (1.0 - t) * (1.0 + t)
 
-    def interior(x, k):
-        gamma = -math.pi + TWO_PI * x[:, 0]
-        exit_s = -t[k] * np.cos(gamma) + np.sqrt(
-            np.maximum(1.0 - (t[k] * np.sin(gamma)) ** 2, 0.0))
+    def zone(x, r):
+        k = pole[r]
+        gamma = gstart[r] + gspan[r] * x[:, 0]
+        # where the ray leaves the disc: 1 - t^2 sin^2 is written as
+        # cos^2 + (1 - t^2) sin^2, which stays accurate near tangency (for a
+        # pole on the circle it is cos^2 exactly)
+        c, sn = np.cos(gamma), np.sin(gamma)
+        exit_s = -t[k] * c + np.sqrt(c * c + t_gap[k] * sn * sn)
         cap = np.minimum(rho[k], exit_s)
         s = cap * x[:, 1]
         z = poles[k] + s * np.exp(1j * (phi[k] + gamma))
         # the s Jacobian cancels the 1/s blow-up at the pole
-        return g(z, zprob[k]) * s * cap * TWO_PI
-
-    def rim(x, k):
-        # on-sphere pole: only the inward half-plane meets the disc, and the
-        # chord exit along direction beta (from the inward normal) is 2 cos b
-        beta = -0.5 * math.pi + math.pi * x[:, 0]
-        cap = np.minimum(rho[k], 2.0 * np.cos(beta))
-        s = cap * x[:, 1]
-        psi = phi[k] + math.pi + beta
-        z = poles[k] + s * np.exp(1j * psi)
-        return g(z, zprob[k]) * s * cap * math.pi
+        return g(z, zprob[r]) * s * cap * gspan[r]
 
     def bulk(x, k):
         theta = start[k] + span[k] * x[:, 0]
@@ -317,12 +317,11 @@ def _integrate_disc(g, problems, rel_tol, max_evals, abs_floor):
         z = s * np.exp(1j * theta)
         return g(z, bprob[k]) * s * width * span[k]
 
-    # (family, row) per region: the zones, then the pieces
+    # (family, row) per region: the zone rows, then the pieces
     regions = np.column_stack([
-        np.concatenate([on_sphere, np.full(start.size, 2)]),
-        np.concatenate([np.arange(t.size), np.arange(start.size)])])
-    res = integrate_regions([interior, rim, bulk], 2, regions, cuts, rel_tol,
-                            max_evals, abs_floor=abs_floor)
+        np.repeat([0, 1], [pole.size, start.size]),
+        np.concatenate([np.arange(pole.size), np.arange(start.size)])])
+    res = integrate_regions([zone, bulk], 2, regions, rel_tol, max_evals)
     return QuadratureResult(float(res.value), float(res.error), res.evals,
                             res.converged, "adaptive")
 
@@ -339,7 +338,7 @@ def _energy_adaptive_2d(config, spec):
         return _cauchy_abs_batch(poles, weights, z)
 
     return _integrate_disc(g, [(poles, radii, ())],
-                           spec.rel_tolerance, spec.max_evals, abs_floor=1e-14)
+                           spec.rel_tolerance, spec.max_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +781,7 @@ def _defect_sum(lengths, scale, spec):
 
     Arc k is (-l_k/2, l_k/2), a disc problem with its one pole at 1; l_k
     must lie in (0, 2 pi]. The sum's error is what converges, against the
-    spec's relative tolerance, and the absolute floor is the sum of the
-    arcs' floors. `max_evals` bounds the whole sum.
+    spec's relative tolerance. `max_evals` bounds the whole sum.
     """
     half = 0.5 * np.asarray(lengths, dtype=float)
     a, b = _validate_arc((-half, half))
@@ -801,10 +799,7 @@ def _defect_sum(lengths, scale, spec):
            for l in length]
     pole = np.array([1.0 + 0.0j])
     problems = [(pole, [rho[k]], [a[k], b[k]]) for k in range(a.size)]
-    floor = max(1e-14,
-                0.05 * spec.rel_tolerance * float(np.sum(scale * length)))
-    return _integrate_disc(g, problems, spec.rel_tolerance, spec.max_evals,
-                           abs_floor=floor)
+    return _integrate_disc(g, problems, spec.rel_tolerance, spec.max_evals)
 
 
 def two_pole_l1(a: complex, b: complex,
@@ -814,7 +809,8 @@ def two_pole_l1(a: complex, b: complex,
         integral over the unit disc of |1/(z - a) - 1/(z - b)|
 
     Both poles may sit anywhere in the closed disc; their separation must be
-    positive and at most 1.
+    positive and at most 1. The integral is the energy of the signed pair
+    ((a, +1), (b, -1)), computed as `chui_energy` computes it.
     """
     spec = spec or QuadratureSpec()
     a = complex(a)
@@ -827,13 +823,6 @@ def two_pole_l1(a: complex, b: complex,
     if delta > 1.0 + 1e-12:
         raise ValueError("pole separation must be at most 1")
 
-    poles = np.array([a, b])
-    signs = np.array([1.0, -1.0])
-
-    def g(z, p):
-        return _cauchy_abs_batch(poles, signs, z)
-
-    radii = np.minimum(DEFAULT_POLE_RADIUS, 0.5 * delta) * np.ones(2)
-    floor = max(1e-14, 0.05 * spec.rel_tolerance * delta)
-    return _integrate_disc(g, [(poles, radii, ())],
-                           spec.rel_tolerance, spec.max_evals, abs_floor=floor)
+    pair = ChargeConfiguration([[a.real, a.imag], [b.real, b.imag]],
+                               [1.0, -1.0])
+    return _energy_adaptive_2d(pair, spec)

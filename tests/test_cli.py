@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chargelab import bounds, cli
+from chargelab import bounds, cli, optimize
 from chargelab.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -285,6 +285,7 @@ class TestOptimizeCommand:
         doc = json.loads(out_path.read_text())
         assert doc["dimension"] == 2
         assert doc["run"]["stop_reason"] in ("budget", "converged")
+        assert doc["converged"] is True
         assert doc["best_energy"] <= 5.2
         trace_path = tmp_path / "opt.trace.jsonl"
         assert trace_path.exists()
@@ -292,6 +293,19 @@ class TestOptimizeCommand:
         assert rows
         assert all(set(r) == {"iter", "angles_or_points", "energy", "err"}
                    for r in rows)
+
+    def test_unconverged_energy_exits_3(self, capsys, monkeypatch, tmp_path):
+        energy = optimize.chui_energy
+
+        def unconverged(config, spec):
+            return dataclasses.replace(energy(config, spec), converged=False)
+
+        monkeypatch.setattr(optimize, "chui_energy", unconverged)
+        out_path = tmp_path / "opt.json"
+        code, _, _ = _run(capsys, "optimize", "--weights", "1,1",
+                          "--budget", "100", "--out", str(out_path))
+        assert code == 3
+        assert json.loads(out_path.read_text())["converged"] is False
 
 
 class TestVerifyAll:
@@ -319,6 +333,26 @@ class TestVerifyAll:
             return dataclasses.replace(energy(config, spec), converged=False)
 
         monkeypatch.setattr(cli, "chui_energy", unconverged)
+        out_path = tmp_path / "verify.json"
+        code, _, _ = _run(capsys, "verify-all", "--seed", "1",
+                          "--out", str(out_path))
+        assert code == 3
+        assert json.loads(out_path.read_text())["violations"] == 0
+
+    # the optimizer smoke's search runs at the spec's 1e-3, its certificate
+    # at 1e-5
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-5],
+                             ids=["search", "certificate"])
+    def test_unconverged_optimizer_exits_3(self, capsys, monkeypatch,
+                                           tmp_path, rel_tol):
+        energy = optimize.chui_energy
+
+        def unconverged(config, spec):
+            res = energy(config, spec)
+            return dataclasses.replace(
+                res, converged=res.converged and spec.rel_tolerance != rel_tol)
+
+        monkeypatch.setattr(optimize, "chui_energy", unconverged)
         out_path = tmp_path / "verify.json"
         code, _, _ = _run(capsys, "verify-all", "--seed", "1",
                           "--out", str(out_path))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from chargelab._cubature import integrate_1d, integrate_regions
+from chargelab._cubature import integrate_1d, integrate_regions, split_intervals
 
 
 class TestOneDimensional:
@@ -50,64 +50,73 @@ class TestOneDimensional:
 
 
 def _tables(specs):
-    """(fns, regions, cuts) for a list of (fn, row, axis-0 cuts or None),
-    one family per distinct fn."""
-    fns, regions, cuts = [], [], {}
-    for r, (fn, row, cut) in enumerate(specs):
+    """(fns, regions) for a list of (fn, row), one family per distinct fn."""
+    fns, regions = [], []
+    for fn, row in specs:
         if fn not in fns:
             fns.append(fn)
         regions.append((fns.index(fn), row))
-        if cut is not None:
-            cuts[r] = cut
-    return fns, regions, cuts
+    return fns, regions
 
 
 class TestRegions:
     def test_two_dim_polynomial(self):
         fn = lambda p, rows: p[:, 0] ** 2 * p[:, 1]
-        res = integrate_regions([fn], 2, [(0, 0)], {}, 1e-12, 100_000)
+        res = integrate_regions([fn], 2, [(0, 0)], 1e-12, 100_000)
         assert res.value == pytest.approx(1.0 / 6.0, abs=1e-13)
 
     def test_regions_sum(self):
         f1 = lambda p, rows: p[:, 0]
         f2 = lambda p, rows: np.ones(p.shape[0])
-        res = integrate_regions([f1, f2], 1, [(0, 0), (1, 0)], {}, 1e-12,
-                                100_000)
+        res = integrate_regions([f1, f2], 1, [(0, 0), (1, 0)], 1e-12, 100_000)
         assert res.value == pytest.approx(1.5, abs=1e-13)
 
     def test_cuts_increase_initial_cells(self):
-        fn = lambda p, rows: p[:, 0]
-        res = integrate_regions([fn], 1, [(0, 0)], {0: [0.25, 0.5]}, 1e-12,
-                                100_000)
-        assert res.n_cells >= 3
+        # integrate_1d makes one row per piece between its cuts
+        fn = lambda x: x
+        res = integrate_1d(fn, 0.0, 1.0, 1e-12, cuts=[0.25, 0.5])
+        assert res.n_cells == 3
         assert res.value == pytest.approx(0.5, abs=1e-13)
-        # cuts outside (0, 1), at its ends or within 1e-12 of another cut
-        # add no cell; the exact integrand keeps the three initial cells
-        cuts = {0: [0.5, -0.2, 0.25, 1.0, 0.5 + 1e-13, 0.0, 0.5, 1.5]}
-        res = integrate_regions([fn], 1, [(0, 0)], cuts, 1e-12, 100_000)
+        # cuts outside (a, b), at its ends or within 1e-12 of another cut
+        # add no row; the exact integrand keeps the three initial cells
+        cuts = [0.5, -0.2, 0.25, 1.0, 0.5 + 1e-13, 0.0, 0.5, 1.5]
+        res = integrate_1d(fn, 0.0, 1.0, 1e-12, cuts=cuts)
         assert res.n_cells == 3
         assert res.value == pytest.approx(0.5, abs=1e-13)
 
+    def test_split_intervals_drops_slivers(self):
+        # the sliver gap is 1e-12 of each interval's width; nan is no cut
+        nan = math.nan
+        owner, start, span = split_intervals(
+            [-2.0, 0.0, 5.0], [2.0, 1.0, 6.0],
+            [[3e-12, 1.0, -2.0 + 2e-12, 1.0 + 3e-12, 2.0 - 3e-12],
+             [nan] * 5, [5.5, nan, 5.5 + 5e-13, 7.0, 5.0]])
+        assert owner.tolist() == [0, 0, 0, 1, 2, 2]
+        assert start.tolist() == [-2.0, 3e-12, 1.0, 0.0, 5.0, 5.5]
+        expect = np.concatenate([np.diff([-2.0, 3e-12, 1.0, 2.0]), [1.0],
+                                 np.diff([5.0, 5.5, 6.0])])
+        np.testing.assert_array_equal(span, expect)
+
     def test_initial_decomposition_over_budget(self):
-        cuts = {0: np.linspace(0.001, 0.999, 200)}
+        regions = [(0, r) for r in range(200)]
         with pytest.raises(ValueError):
-            integrate_regions([lambda p, rows: p[:, 0]], 1, [(0, 0)], cuts,
-                              1e-6, 1000)
+            integrate_regions([lambda p, rows: p[:, 0]], 1, regions, 1e-6,
+                              1000)
 
     def test_empty_region_list(self):
-        res = integrate_regions([], 1, [], {}, 1e-6, 1000)
+        res = integrate_regions([], 1, [], 1e-6, 1000)
         assert res.value == 0.0 and res.converged
 
     def test_nonconvergence_reported(self):
         # ~1600 oscillations cannot be resolved by ~130 GK15 cells
         fn = lambda p, rows: np.sin(1e4 * p[:, 0])
-        res = integrate_regions([fn], 1, [(0, 0)], {}, 1e-10, 2000)
+        res = integrate_regions([fn], 1, [(0, 0)], 1e-10, 2000)
         assert not res.converged
         assert res.evals <= 2000
 
     def test_error_is_honest_when_converged(self):
         fn = lambda p, rows: np.exp(p[:, 0]) * np.cos(3.0 * p[:, 1])
-        res = integrate_regions([fn], 2, [(0, 0)], {}, 1e-9, 200_000)
+        res = integrate_regions([fn], 2, [(0, 0)], 1e-9, 200_000)
         exact = (math.e - 1.0) * math.sin(3.0) / 3.0
         assert res.converged
         assert abs(res.value - exact) <= max(3.0 * res.error, 1e-13)
@@ -119,45 +128,59 @@ class TestFamilies:
 
     @staticmethod
     def _table(n, seed=3):
+        """(eps, cx, cy, region, start, span): a peak per region, and per
+        row its region and axis-0 piece; every third region is two rows,
+        split at its own axis-0 position."""
         rng = np.random.default_rng(seed)
-        return (rng.uniform(1e-3, 1e-1, n), rng.uniform(0.1, 0.9, n),
-                rng.uniform(0.1, 0.9, n), rng.uniform(0.2, 0.8, n))
+        eps, cx, cy, cut = (rng.uniform(1e-3, 1e-1, n),
+                            rng.uniform(0.1, 0.9, n),
+                            rng.uniform(0.1, 0.9, n),
+                            rng.uniform(0.2, 0.8, n))
+        rows = []
+        for k in range(n):
+            edges = [0.0, cut[k], 1.0] if k % 3 == 0 else [0.0, 1.0]
+            rows += [(k, a, b - a) for a, b in zip(edges, edges[1:])]
+        region, start, span = (np.array(c) for c in zip(*rows))
+        return eps, cx, cy, region, start, span
 
     @staticmethod
-    def _peak(x, eps, cx, cy):
-        return 1.0 / (eps + (x[:, 0] - cx) ** 2 + (x[:, 1] - cy) ** 2)
+    def _peak(x, eps, cx, cy, start, span):
+        x0 = start + span * x[:, 0]
+        return span / (eps + (x0 - cx) ** 2 + (x[:, 1] - cy) ** 2)
 
     def _regions(self, table, family, calls=None):
-        """(fn, row, cuts) per region: rows of `family`, or with `family`
-        None, one single-row integrand per region."""
-        eps, cx, cy, cut = table
+        """(fn, row) per row: rows of `family`, or with `family` None, one
+        single-row integrand per row."""
+        eps, cx, cy, region, start, span = table
         calls = [] if calls is None else calls
         specs = []
-        for k in range(eps.size):
-            cuts = [cut[k]] if k % 3 == 0 else None
+        for r, k in enumerate(region):
             if family is None:
-                def fn(x, rows, k=k):
+                def fn(x, rows, k=k, r=r):
                     assert not rows.any()
                     calls.append(x.shape[0])
-                    return self._peak(x, eps[k], cx[k], cy[k])
-                specs.append((fn, 0, cuts))
+                    return self._peak(x, eps[k], cx[k], cy[k], start[r],
+                                      span[r])
+                specs.append((fn, 0))
             else:
-                specs.append((family, k, cuts))
+                specs.append((family, r))
         return specs
 
     def _family(self, table, calls):
-        eps, cx, cy, _ = table
+        eps, cx, cy, region, start, span = table
 
         def fn(x, rows):
             calls.append(rows.size)
-            return self._peak(x, eps[rows], cx[rows], cy[rows])
+            k = region[rows]
+            return self._peak(x, eps[k], cx[k], cy[k], start[rows],
+                              span[rows])
 
         return fn
 
     @staticmethod
     def _integrate(specs):
-        fns, regions, cuts = _tables(specs)
-        return integrate_regions(fns, 2, regions, cuts, 1e-8, 2_000_000)
+        fns, regions = _tables(specs)
+        return integrate_regions(fns, 2, regions, 1e-8, 2_000_000)
 
     @staticmethod
     def _same(a, b):
@@ -177,8 +200,7 @@ class TestFamilies:
         assert len(calls) < len(plain_calls) / 4
 
     def test_each_point_gets_its_own_row(self):
-        n = 50
-        cut = np.linspace(0.2, 0.8, n)
+        n = 100
 
         def fn(x, rows):
             # one row per cell: rows are constant over each cell's nodes
@@ -187,8 +209,7 @@ class TestFamilies:
             return (rows + 1.0) * np.ones(x.shape[0])
 
         regions = [(0, k) for k in range(n)]
-        cuts = {k: [cut[k]] for k in range(n)}
-        res = integrate_regions([fn], 2, regions, cuts, 1e-12, 1_000_000)
+        res = integrate_regions([fn], 2, regions, 1e-12, 1_000_000)
         # region k integrates the constant k + 1 over the unit square
         assert res.value == pytest.approx(n * (n + 1) / 2, rel=1e-12)
 
@@ -198,7 +219,7 @@ class TestFamilies:
         fam_a = self._regions(a, self._family(a, calls_a))
         fam_b = self._regions(b, self._family(b, calls_b))
         plain_a, plain_b = self._regions(a, None), self._regions(b, None)
-        odd = (lambda x, rows: np.exp(x[:, 0] - x[:, 1]), 0, None)
+        odd = (lambda x, rows: np.exp(x[:, 0] - x[:, 1]), 0)
         mixed = fam_a[:6] + plain_b[:4] + [odd] + fam_b[4:] + plain_a[6:]
         mixed += fam_b[:4] + fam_a[6:]
         reference = plain_a[:6] + plain_b[:4] + [odd] + plain_b[4:]

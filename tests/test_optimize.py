@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -175,7 +176,7 @@ class TestOptimizerPins:
     @pytest.mark.parametrize("weights, d, seed, budget, meta, n_improve, best", [
         ([1, 1, 1], 2, 1, 150,
          {"evaluations": 108, "stop_reason": "converged",
-          "events": [_restart(50)]}, 0, "0x1.6bcbed45bdee6p+2"),
+          "events": [_restart(50)]}, 0, "0x1.6bcbed45bdee2p+2"),
         ([1] * 6, 2, 0, 100,
          {"evaluations": 100, "stop_reason": "budget", "events": []},
          0, "0x1.99192ae21872cp+2"),
@@ -194,6 +195,7 @@ class TestOptimizerPins:
         assert [it.event for it in trace.iterates] == (
             ["start"] + ["improve"] * n_improve)
         assert trace.best_energy.hex() == best
+        assert trace.converged
 
     @pytest.mark.parametrize("d, evaluations, events, n_improve", [
         (2, 109, [_merge(29), _restart(30), _merge(57), _restart(58),
@@ -345,3 +347,45 @@ class TestCertificates:
         cfg = ChargeConfiguration([[0.5, 0.0]], [1.0])
         with pytest.raises(ValueError):
             local_min_certificate(cfg)
+
+
+def _unconverged_at(energy, which):
+    """`energy` with its call number `which` (from 0) marked unconverged."""
+    count = itertools.count()
+
+    def wrapped(config, spec):
+        res = energy(config, spec)
+        if next(count) == which:
+            return dataclasses.replace(res, converged=False)
+        return res
+
+    return wrapped
+
+
+class TestConvergence:
+    """A run is converged only when every energy it evaluated is."""
+
+    def test_trace(self, monkeypatch):
+        monkeypatch.setattr(optimize, "chui_energy", _repulsive_energy)
+        base = minimize_positions([1, 2, 3], 2, seed=1, budget=100)
+        assert base.converged
+        n = base.meta["evaluations"]
+        for which in (0, n // 2, n - 1):
+            monkeypatch.setattr(optimize, "chui_energy",
+                                _unconverged_at(_repulsive_energy, which))
+            trace = minimize_positions([1, 2, 3], 2, seed=1, budget=100)
+            assert trace.meta == base.meta
+            assert not trace.converged
+
+    def test_certificate(self, monkeypatch):
+        cfg = uniform_circle_config(2)
+        spec = QuadratureSpec(rel_tolerance=1e-4)
+        base = local_min_certificate(cfg, spec=spec)
+        assert base.converged
+        # the base energy, then a plus and a minus step per charge
+        for which in range(5):
+            monkeypatch.setattr(optimize, "chui_energy",
+                                _unconverged_at(chui_energy, which))
+            rep = local_min_certificate(cfg, spec=spec)
+            assert rep.verdict == base.verdict
+            assert not rep.converged
