@@ -3,7 +3,8 @@
 Internal engine. Every region is one row of a *family*: regions that differ
 only in their parameters share one vectorized integrand over [0,1]^dim,
 called as `fn(x, rows)`, where `rows[i]` is the row of point `x[i]`'s region
-in a parameter table the integrand closes over. The values already include
+in a parameter table the integrand closes over, and returning one value per
+point in any shape that holds them in order. The values already include
 the geometric Jacobian of whatever map produced them. A caller describes its
 regions as a table of (family index, row) pairs and nothing else: a region
 that must start split (at a kink of its integrand, say) is several rows, one
@@ -18,7 +19,10 @@ ordering, tie-breaking and summation order are fixed functions of the inputs.
 Cells are evaluated family by family, one integrand call per bounded chunk
 of cells, so a decomposition into hundreds of small regions costs a handful
 of calls rather than one call per region. Each cell's values do not depend
-on which other cells share its call.
+on which other cells share its call. In 2-D a cell's 225 nodes come as 15
+lines of 15 that share their axis-0 coordinate; `split_lines` hands an
+integrand those lines, so it computes what depends on that coordinate once
+per line.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["CubatureResult", "integrate_regions", "integrate_1d",
-           "split_intervals"]
+           "split_intervals", "split_lines"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (QUADPACK dqk15).
 _XGK_HALF = np.array([
@@ -65,8 +69,9 @@ WG_PADDED[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 _UNIT = 0.5 * (XGK + 1.0)  # nodes mapped to [0, 1]
 
-# points per integrand call (at least one cell's worth, 15^3 in 3-D); bounds
-# the working set of a family call, which may span thousands of cells
+# points per integrand call (at least one cell's worth: 18 cells of 225
+# nodes in 2-D); bounds the working set of a family call, which may span
+# thousands of cells
 _CALL_POINTS = 1 << 12
 # refinement rounds of `integrate_regions` before it stops unconverged
 _MAX_ROUNDS = 200
@@ -76,9 +81,12 @@ _ABS_FLOOR = 1e-14
 
 @lru_cache(maxsize=8)
 def _tensor_tables(dim):
-    """(nodes01 (P, D), weight matrix (1+D, P)) for the D-fold tensor rule."""
+    """(nodes01 (D, P), weight matrix (1+D, P)) for the D-fold tensor rule.
+
+    Node j is nodes01[:, j], the last axis fastest (see `split_lines`).
+    """
     grids = np.meshgrid(*([_UNIT] * dim), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
+    nodes = np.stack([g.ravel() for g in grids], axis=0)
     wk = np.ones(1)
     for _ in range(dim):
         wk = np.multiply.outer(wk, WGK).ravel()
@@ -125,6 +133,17 @@ def split_intervals(lo, hi, cuts):
     return owner[:-1][same], edge[:-1][same], np.diff(edge)[same]
 
 
+def split_lines(x, rows):
+    """A 2-D call's points as the lines of 15 that share an axis-0 node.
+
+    `_evaluate` lays every cell out as 15 lines of 15 nodes, axis 1
+    fastest, so along a line the axis-0 coordinate and the row are
+    constant. Returns the per-line axis-0 coordinates (lines,), the axis-1
+    coordinates (lines, 15) and the per-line rows (lines,).
+    """
+    return x[::15, 0], x[:, 1].reshape(-1, 15), rows[::15]
+
+
 def _evaluate(fns, owner, lo, hi):
     """Tensor GK on each cell. Returns (values, per-axis errors, evals).
 
@@ -133,7 +152,7 @@ def _evaluate(fns, owner, lo, hi):
     m = owner.shape[0]
     dim = lo.shape[1]
     nodes, wmat = _tensor_tables(dim)
-    p = nodes.shape[0]
+    p = nodes.shape[1]
     vals = np.zeros(m, dtype=complex)
     errd = np.zeros((m, dim))
     chunk = max(1, _CALL_POINTS // p)
@@ -144,10 +163,15 @@ def _evaluate(fns, owner, lo, hi):
         fn = fns[cell_fam[sel[0]]]
         for c0 in range(0, sel.size, chunk):
             cells = sel[c0:c0 + chunk]
-            span = hi[cells] - lo[cells]
-            pts = lo[cells][:, None, :] + span[:, None, :] * nodes[None, :, :]
-            x = pts.reshape(-1, dim)
-            raw = fn(x, np.repeat(owner[cells, 1], p))
+            base = lo[cells]
+            span = hi[cells] - base
+            # component-major: one row of span * node + lo per axis, cell
+            # by cell, handed over as the (points, dim) view
+            cols = np.empty((dim, cells.size, p))
+            for d in range(dim):
+                np.multiply(span[:, d, None], nodes[d], out=cols[d])
+                cols[d] += base[:, d, None]
+            raw = fn(cols.reshape(dim, -1).T, np.repeat(owner[cells, 1], p))
             v = np.asarray(raw).reshape(cells.size, p)
             scale = np.prod(span * 0.5, axis=1)
             # row 0 -> Kronrod value, row 1+d -> Gauss along axis d.

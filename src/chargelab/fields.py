@@ -18,8 +18,8 @@ suite checks the identity to 1e-12.
 The batch kernels behind the quadratures evaluate many points per call; for
 d >= 3 they work component-major, as described above `_offsets`. The
 arc-averaged boundary kernel behind the defect integrals is a closed form
-(`averaged_kernel_batch`) that takes one arc for all points or one per
-point.
+(`averaged_kernel_batch`) that takes one arc for all points or arcs that
+broadcast against them.
 
 All evaluators are pure functions; nothing here carries mutable state.
 """
@@ -244,8 +244,9 @@ def averaged_kernel(z: complex, arc) -> complex:
 def averaged_kernel_batch(z, arc) -> np.ndarray:
     """Arc mean (1/l) int_a^b dtheta/(z - e^(i theta)) at an array of points.
 
-    `arc` is (a, b): floats, or arrays of z's shape giving each point its
-    own arc. For |z| < 1 the integral is (i/z) Log1p(w), where
+    `arc` is (a, b): floats, or arrays that broadcast against z, such as
+    one arc per point or one per row of a 2-D z; each arc's constants are
+    formed once. For |z| < 1 the integral is (i/z) Log1p(w), where
     w = z (e^(-ia) - e^(-ib)) / (1 - z e^(-ia)): 1 + w is the ratio of
     1 - z e^(-ib) to 1 - z e^(-ia), both in the right half-plane, so the
     principal log needs no branch tracking. e^(-ia) - e^(-ib) is
@@ -258,10 +259,9 @@ def averaged_kernel_batch(z, arc) -> np.ndarray:
     """
     a, b = _validate_arc(arc)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    # contiguous arc arrays of z's shape: a point's value then does not
-    # depend on whether its arc came alone or one per point
-    a = np.ascontiguousarray(np.broadcast_to(a, z.shape))
-    b = np.ascontiguousarray(np.broadcast_to(b, z.shape))
+    # the arc constants at the arcs' own shape, from contiguous arrays: a
+    # point's value then does not depend on how many points share its arc
+    a, b = (np.ascontiguousarray(end) for end in np.broadcast_arrays(a, b))
     length = b - a
     sin_half = np.sin(0.5 * np.minimum(length, TWO_PI - length))
     mid = 0.5 * (a + b)
@@ -281,5 +281,5 @@ def averaged_kernel_batch(z, arc) -> np.ndarray:
     zero = z == 0
     if np.any(zero):
         z = np.where(zero, 1.0, z)
-        log[zero] = chord[zero]
+        log[zero] = np.broadcast_to(chord, z.shape)[zero]
     return 1j * log / (z * length)

@@ -21,8 +21,9 @@ at the charge locations. Each dimension handles them its own way:
     surrogate for its summed weight, which has a closed-form mass too, and
     two strata about its centre: the ball of radius 4D and a halo out to
     0.25 with log-uniform radius. The bulk leaves out what the strata hold.
-  * d >= 4: Monte Carlo sampling half the ball, half near the poles
-    (accuracy degraded).
+  * d >= 4: Monte Carlo sampling half the ball, half near the poles, with
+    the field magnitude divided by the mixture density (importance
+    sampling).
 
 The sampled integrands are two kernels, `_residual_3d` (d = 3) and
 `_importance_ratio` (Monte Carlo). Per chunk of points they build the
@@ -58,7 +59,7 @@ import numpy as np
 
 # integrate_1d is unused here; perfbench's tracer patches it by this name
 from ._cubature import integrate_1d  # noqa: F401
-from ._cubature import integrate_regions, split_intervals
+from ._cubature import integrate_regions, split_intervals, split_lines
 from .configurations import (BOUNDARY_SNAP, ChargeConfiguration,
                              _ball_samples, _cluster_labels, _on_sphere,
                              _pairwise_dists, _sphere_points,
@@ -258,12 +259,14 @@ def _integrate_disc(g, problems, rel_tol, max_evals):
     """Sum of disc integrals, refined in one global adaptive loop.
 
     Problem p is (poles, zone radii, extra bulk cut angles) and adds the
-    integral of g(z, p) over the unit disc; g takes points and their
-    problem indices, so it can weight each problem. Two region families
-    cover the discs: the pole zones (family 0, `_zone_rows`, problem by
-    problem in pole order) and the bulk pieces (family 1). A round is at
-    most two integrand calls however many problems there are, and
-    refinement goes where the summed error is.
+    integral of g(z, p) over the unit disc; g takes points z shaped
+    (lines, 15), the radial nodes of one direction per line, and one
+    problem index per line, so it can weight each problem. Two region
+    families cover the discs: the pole zones (family 0, `_zone_rows`,
+    problem by problem in pole order) and the bulk pieces (family 1). Each
+    family is called once per chunk of 18 cells (at most
+    `_cubature._CALL_POINTS` nodes) per round, however many problems
+    share it, and refinement goes where the summed error is.
     """
     zones, pieces = [], []
     offset = 0
@@ -291,31 +294,35 @@ def _integrate_disc(g, problems, rel_tol, max_evals):
     zprob = zprob[pole]
     t_gap = (1.0 - t) * (1.0 + t)
 
+    # each integrand takes its points as lines of 15 radial nodes at one
+    # direction and forms what depends on the direction once per line
     def zone(x, r):
+        u, v, r = split_lines(x, r)
         k = pole[r]
-        gamma = gstart[r] + gspan[r] * x[:, 0]
+        gamma = gstart[r] + gspan[r] * u
         # where the ray leaves the disc: 1 - t^2 sin^2 is written as
         # cos^2 + (1 - t^2) sin^2, which stays accurate near tangency (for a
         # pole on the circle it is cos^2 exactly)
         c, sn = np.cos(gamma), np.sin(gamma)
         exit_s = -t[k] * c + np.sqrt(c * c + t_gap[k] * sn * sn)
-        cap = np.minimum(rho[k], exit_s)
-        s = cap * x[:, 1]
-        z = poles[k] + s * np.exp(1j * (phi[k] + gamma))
+        cap = np.minimum(rho[k], exit_s)[:, None]
+        s = cap * v
+        z = poles[k][:, None] + s * np.exp(1j * (phi[k] + gamma))[:, None]
         # the s Jacobian cancels the 1/s blow-up at the pole
-        return g(z, zprob[r]) * s * cap * gspan[r]
+        return g(z, zprob[r]) * s * cap * gspan[r][:, None]
 
     def bulk(x, k):
-        theta = start[k] + span[k] * x[:, 0]
+        u, v, k = split_lines(x, k)
+        theta = start[k] + span[k] * u
         zb, za = below[k], above[k]
         a = np.where(zb >= 0,
                      _interval_bounds(theta, t[zb], phi[zb], rho[zb])[1], 0.0)
         b = np.where(za >= 0,
                      _interval_bounds(theta, t[za], phi[za], rho[za])[0], 1.0)
-        width = np.maximum(b - a, 0.0)
-        s = a + width * x[:, 1]
-        z = s * np.exp(1j * theta)
-        return g(z, bprob[k]) * s * width * span[k]
+        width = np.maximum(b - a, 0.0)[:, None]
+        s = a[:, None] + width * v
+        z = s * np.exp(1j * theta)[:, None]
+        return g(z, bprob[k]) * s * width * span[k][:, None]
 
     # (family, row) per region: the zone rows, then the pieces
     regions = np.column_stack([
@@ -335,7 +342,7 @@ def _energy_adaptive_2d(config, spec):
                        0.5 * _nearest_neighbor_dists(config.positions))
 
     def g(z, p):
-        return _cauchy_abs_batch(poles, weights, z)
+        return _cauchy_abs_batch(poles, weights, z.ravel()).reshape(z.shape)
 
     return _integrate_disc(g, [(poles, radii, ())],
                            spec.rel_tolerance, spec.max_evals)
@@ -789,8 +796,10 @@ def _defect_sum(lengths, scale, spec):
     length = b - a
 
     def g(z, p):
-        return scale[p] * np.abs(1.0 / (z - 1.0)
-                                 - averaged_kernel_batch(z, (a[p], b[p])))
+        # one arc per line of points
+        arc = (a[p][:, None], b[p][:, None])
+        return scale[p][:, None] * np.abs(1.0 / (z - 1.0)
+                                          - averaged_kernel_batch(z, arc))
 
     # keep each zone clear of its arc's endpoints, where the averaged kernel
     # has its own (logarithmic, rim-bound) singularities

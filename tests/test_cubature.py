@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from chargelab._cubature import integrate_1d, integrate_regions, split_intervals
+from chargelab._cubature import (integrate_1d, integrate_regions,
+                                 split_intervals, split_lines)
 
 
 class TestOneDimensional:
@@ -212,6 +213,28 @@ class TestFamilies:
         res = integrate_regions([fn], 2, regions, 1e-12, 1_000_000)
         # region k integrates the constant k + 1 over the unit square
         assert res.value == pytest.approx(n * (n + 1) / 2, rel=1e-12)
+
+    def test_planar_points_come_in_lines(self):
+        # the disc integrands form what depends on the axis-0 coordinate
+        # once per line of 15 (split_lines); a call holding anything but
+        # whole lines of one axis-0 node and one row would make them
+        # integrate the wrong points silently
+        table = self._table(40)
+        eps, cx, cy, region, start, span = table
+
+        def by_line(x, rows):
+            u, v, line_rows = split_lines(x, rows)
+            assert np.all(x[:, 0].reshape(-1, 15) == u[:, None])
+            assert np.all(rows.reshape(-1, 15) == line_rows[:, None])
+            assert np.all(x[:, 1].reshape(-1, 15) == v)
+            assert np.all(np.diff(v, axis=1) > 0)
+            k, r = region[line_rows][:, None], line_rows[:, None]
+            x0 = start[r] + span[r] * u[:, None]
+            return span[r] / (eps[k] + (x0 - cx[k]) ** 2 + (v - cy[k]) ** 2)
+
+        lines = self._integrate(self._regions(table, by_line))
+        self._same(lines, self._integrate(
+            self._regions(table, self._family(table, []))))
 
     def test_families_and_plain_regions_mixed(self):
         a, b = self._table(12, seed=4), self._table(9, seed=5)

@@ -360,3 +360,8 @@ class TestAveragedKernel:
             one = averaged_kernel_batch(zs, arc)
             assert np.array_equal(got[i * zs.size:(i + 1) * zs.size], one)
         assert averaged_kernel(zs[1], arcs[1]) == got[zs.size + 1]
+        # and one arc per row of a 2-D z, as the defect integrands pass them
+        col = np.array(arcs)[:, :, None]
+        rows = averaged_kernel_batch(np.tile(zs, (len(arcs), 1)),
+                                     (col[:, 0], col[:, 1]))
+        assert np.array_equal(rows.ravel(), got)
