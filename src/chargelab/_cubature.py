@@ -15,6 +15,8 @@ summed Kronrod-vs-Gauss error estimate meets the relative tolerance (or
 falls to the absolute floor _ABS_FLOOR) or the evaluation budget runs out.
 `split_intervals` cuts intervals into such pieces. Deterministic: cell
 ordering, tie-breaking and summation order are fixed functions of the inputs.
+Cells keep their creation order, and that order breaks ties between equal
+errors: the older cell is split first.
 
 Cells are evaluated family by family, one integrand call per bounded chunk
 of cells, so a decomposition into hundreds of small regions costs a handful
@@ -198,8 +200,6 @@ def integrate_regions(fns, dim, regions, rel_tol, max_evals):
         return CubatureResult(0.0, 0.0, 0, True, 0)
     lo = np.zeros((n, dim))
     hi = np.ones((n, dim))
-    birth = np.arange(n, dtype=np.int64)
-    next_birth = n
 
     p = 15 ** dim
     if n * p > max_evals:
@@ -208,53 +208,43 @@ def integrate_regions(fns, dim, regions, rel_tol, max_evals):
             f"({n} cells x {p} nodes); raise max_evals"
         )
     vals, errd, evals = _evaluate(fns, owner, lo, hi)
-    errs = errd.sum(axis=1)
 
-    converged = False
-    for _ in range(_MAX_ROUNDS):
+    # Cells sit in creation order: regions in table order, then each
+    # round's survivors in order with its children appended. So a stable
+    # sort by error breaks ties between equal errors oldest first.
+    for rounds in range(_MAX_ROUNDS + 1):
+        errs = errd.sum(axis=1)
         total = vals.sum()
         err_tot = float(errs.sum())
-        if err_tot <= max(rel_tol * abs(total), _ABS_FLOOR):
-            converged = True
+        converged = err_tot <= max(rel_tol * abs(total), _ABS_FLOOR)
+        if converged or rounds == _MAX_ROUNDS:
             break
-        # split the cells carrying the bulk of the error, biggest first
-        sortidx = np.lexsort((birth, -errs))
-        cum = np.cumsum(errs[sortidx])
-        n_split = int(np.searchsorted(cum, 0.6 * err_tot)) + 1
-        n_split = min(n_split, 1024, sortidx.size)
-        if evals + 2 * n_split * p > max_evals:
-            n_split = max(0, (max_evals - evals) // (2 * p))
-            if n_split == 0:
-                break
-        pick = sortidx[:n_split]
+        # split the cells carrying the bulk of the error, biggest first,
+        # as many as the budget allows
+        order = np.argsort(-errs, kind="stable")
+        cum = np.cumsum(errs[order])
+        n_split = min(int(np.searchsorted(cum, 0.6 * err_tot)) + 1, 1024,
+                      order.size, (max_evals - evals) // (2 * p))
+        if n_split == 0:
+            break
+        pick = order[:n_split]
         axes = np.argmax(errd[pick], axis=1)
-        mid = 0.5 * (lo[pick, axes] + hi[pick, axes])
-        lo_a, hi_a = lo[pick].copy(), hi[pick].copy()
-        hi_a[np.arange(n_split), axes] = mid
-        lo_b, hi_b = lo[pick].copy(), hi[pick].copy()
-        lo_b[np.arange(n_split), axes] = mid
-        child_owner = np.vstack([owner[pick], owner[pick]])
-        child_lo = np.vstack([lo_a, lo_b])
-        child_hi = np.vstack([hi_a, hi_b])
-        child_birth = np.arange(next_birth, next_birth + 2 * n_split, dtype=np.int64)
-        next_birth += 2 * n_split
-
-        cvals, cerrd, ev = _evaluate(fns, child_owner, child_lo, child_hi)
+        # children: the picked cells twice, halved at the midpoint of the
+        # worst axis (the first copy below it, the second above)
+        c_owner, c_lo, c_hi = (np.tile(a[pick], (2, 1))
+                               for a in (owner, lo, hi))
+        rows = np.arange(n_split)
+        c_hi[rows, axes] = c_lo[n_split + rows, axes] = (
+            0.5 * (lo[pick, axes] + hi[pick, axes]))
+        c_vals, c_errd, ev = _evaluate(fns, c_owner, c_lo, c_hi)
         evals += ev
         keep = np.ones(owner.shape[0], dtype=bool)
         keep[pick] = False
-        owner = np.vstack([owner[keep], child_owner])
-        lo = np.vstack([lo[keep], child_lo])
-        hi = np.vstack([hi[keep], child_hi])
-        vals = np.concatenate([vals[keep], cvals])
-        errd = np.vstack([errd[keep], cerrd])
-        errs = errd.sum(axis=1)
-        birth = np.concatenate([birth[keep], child_birth])
+        cells = (owner, lo, hi, vals, errd)
+        children = (c_owner, c_lo, c_hi, c_vals, c_errd)
+        owner, lo, hi, vals, errd = (np.concatenate([a[keep], b])
+                                     for a, b in zip(cells, children))
 
-    total = vals.sum()
-    err_tot = float(errs.sum())
-    if not converged:
-        converged = err_tot <= max(rel_tol * abs(total), _ABS_FLOOR)
     value = complex(total) if total.imag != 0.0 else float(total.real)
     return CubatureResult(value, err_tot, int(evals), bool(converged),
                           int(owner.shape[0]))

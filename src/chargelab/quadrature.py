@@ -226,11 +226,10 @@ def _bulk_pieces(t, phi, rho, extra_cuts):
     start and span and the zones below and above it, with -1 standing for
     the origin below or the rim above.
     """
-    angles = np.array(_bulk_cut_angles(zip(t, phi, rho), extra_cuts))
-    ends = np.append(angles[1:], angles[0] + TWO_PI)
-    keep = ends - angles > 1e-12
-    band_lo = angles[keep]
-    band_span = ends[keep] - band_lo
+    # `_bulk_cut_angles` keeps cuts more than 1e-12 apart, wrap-around
+    # included, so every band is wider than that
+    band_lo = np.array(_bulk_cut_angles(zip(t, phi, rho), extra_cuts))
+    band_span = np.append(band_lo[1:], band_lo[0] + TWO_PI) - band_lo
 
     # zone intervals on each band's mid ray, (bands x poles)
     mid_lo, mid_hi = _interval_bounds((band_lo + 0.5 * band_span)[:, None],

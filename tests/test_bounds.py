@@ -30,12 +30,6 @@ class TestConstants:
         assert proof_constant(2) == pytest.approx(math.pi / 128.0, rel=1e-15)
         assert proof_constant(3) == pytest.approx((4 * math.pi / 3) / 256.0, rel=1e-15)
 
-    def test_conservative_variant(self):
-        # d = 2 is the crossover: d+5 == 2d+3 there
-        assert proof_constant(2, conservative=True) == proof_constant(2)
-        for d in (3, 4, 5):
-            assert proof_constant(d, conservative=True) < proof_constant(d)
-
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             proof_constant(1)

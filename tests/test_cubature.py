@@ -122,6 +122,26 @@ class TestRegions:
         assert res.converged
         assert abs(res.value - exact) <= max(3.0 * res.error, 1e-13)
 
+    def test_equal_errors_split_in_table_order(self):
+        # two regions with the same integrand tie on error; the budget
+        # (2 initial cells + 2 children, 15 nodes each) allows one split,
+        # which must go to the region listed first
+        calls = [0, 0]
+
+        def family(k):
+            def fn(p, rows):
+                calls[k] += 1
+                return 1.0 / (1e-3 + p[:, 0] ** 2)
+            return fn
+
+        fns = [family(0), family(1)]
+        for first, second in ((0, 1), (1, 0)):
+            calls[:] = [0, 0]
+            res = integrate_regions(fns, 1, [(first, 0), (second, 0)],
+                                    1e-14, 60)
+            assert not res.converged and res.evals == 60
+            assert calls[first] == 2 and calls[second] == 1
+
 
 class TestFamilies:
     """Regions sharing one row-indexed integrand versus one single-row
