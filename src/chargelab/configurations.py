@@ -233,7 +233,11 @@ def fibonacci_sphere_config(n: int) -> ChargeConfiguration:
 def _sphere_points(gen, m, d):
     """m points uniform on S^{d-1}: normalized Gaussian draws from `gen`."""
     v = gen.standard_normal((m, d))
-    return v / np.sqrt(np.sum(v * v, axis=1))[:, None]
+    # column by column: the same bits as np.sum(v * v, axis=1) for d < 8
+    r2 = v[:, 0] * v[:, 0]
+    for c in range(1, d):
+        r2 += v[:, c] * v[:, c]
+    return v / np.sqrt(r2)[:, None]
 
 
 def _ball_samples(gen, m, d, shrink=1.0):

@@ -21,9 +21,10 @@ at the charge locations. Each dimension handles them its own way:
     surrogate for its summed weight, which has a closed-form mass too, and
     two strata about its centre: the ball of radius 4D and a halo out to
     0.25 with log-uniform radius. The bulk leaves out what the strata hold.
-  * d >= 4: Monte Carlo sampling half the ball, half near the poles, with
-    the field magnitude divided by the mixture density (importance
-    sampling).
+  * d >= 4: Monte Carlo with the field magnitude divided by the density of
+    a half-and-half mixture (importance sampling): of each block of points,
+    drawn as one direction and one radius per point, exactly the first half
+    is uniform in the ball and the rest lies near uniformly drawn poles.
 
 The sampled integrands are two kernels, `_residual_3d` (d = 3) and
 `_importance_ratio` (Monte Carlo). Per chunk of points they build the
@@ -61,9 +62,8 @@ import numpy as np
 from ._cubature import integrate_1d  # noqa: F401
 from ._cubature import integrate_regions, split_intervals, split_lines
 from .configurations import (BOUNDARY_SNAP, ChargeConfiguration,
-                             _ball_samples, _cluster_labels, _on_sphere,
-                             _pairwise_dists, _sphere_points,
-                             merge_coincident)
+                             _cluster_labels, _on_sphere, _pairwise_dists,
+                             _sphere_points, merge_coincident)
 from .fields import (_CACHE_PAIRS, _cauchy_abs_batch, _chunks, _field_mag,
                      _offsets, _pole_sum, _validate_arc, averaged_kernel_batch)
 from .rng import derive_key, substream
@@ -689,8 +689,11 @@ def _energy_rqmc_3d(config, spec):
 # d >= 4: Monte Carlo with pole importance sampling
 # ---------------------------------------------------------------------------
 
-# half the samples are uniform in the ball, half at a uniform radius below
-# _MC_RHO around a uniformly chosen pole
+# replicates and points per replicate and round; exactly half of each block
+# is uniform in the ball and half at a uniform radius below _MC_RHO around a
+# uniformly chosen pole, all from one direction and one radius draw
+_MC_REPS = 16
+_MC_BLOCK = 4096
 _MC_RHO = 0.5
 
 
@@ -727,25 +730,26 @@ def _energy_mc(config, spec):
 
     def draw_sum(b, round_idx, m):
         gen = substream(spec.seed, "mc", round_idx, b)
-        # draw both mixture components for every sample; selection by
-        # mask keeps the stream layout fixed
-        pick_pole = gen.random(m) < 0.5
-        x_unif = _ball_samples(gen, m, d)
-        idx = gen.integers(0, len(weights), size=m)
-        u_pole = _sphere_points(gen, m, d)
-        r_pole = gen.random(m) * _MC_RHO
-        x_pole = positions[idx] + u_pole * r_pole[:, None]
-        pts = np.where(pick_pole[:, None], x_pole, x_unif)
+        # m = _MC_BLOCK is even, so the two halves weigh exactly as the
+        # mixture density that _importance_ratio divides by
+        half = m // 2
+        u = _sphere_points(gen, m, d)
+        r = gen.random(m)
+        centre = np.zeros((m, d))
+        centre[half:] = positions[gen.integers(0, len(weights), m - half)]
+        r[:half] **= 1.0 / d
+        r[half:] *= _MC_RHO
+        pts = centre + u * r[:, None]
         return np.sum(_importance_ratio(positions, weights, pts))
 
     def sample(round_idx, m):
-        return [draw_sum(b, round_idx, m) for b in range(16)]
+        return [draw_sum(b, round_idx, m) for b in range(_MC_REPS)]
 
     def target(est):
         return max(spec.rel_tolerance * abs(est), 1e-14)
 
     est, sigma, evals, converged = _replicated_mean(
-        sample, 16, 4096, False, 1.0, spec.max_evals, target)
+        sample, _MC_REPS, _MC_BLOCK, False, 1.0, spec.max_evals, target)
     return QuadratureResult(est, sigma, evals, converged, "mc")
 
 
