@@ -14,35 +14,38 @@ at the charge locations. Each dimension handles them its own way:
     one row and starts as one cell. Several disc problems can share the two
     families, which is how a sum of weighted defect integrals (the
     reduction budget) is refined as one integral.
-  * d = 3: the singular surrogates |w_k| c(r)/r^2 have a closed-form mass,
-    and randomized quasi-Monte Carlo integrates the bounded residual (field
-    magnitude minus the surrogates) over the whole ball. A cluster of
-    crowded poles (diameter D, well apart from the rest) adds a ring
-    surrogate for its summed weight, which has a closed-form mass too, and
-    two strata about its centre: the ball of radius 4D and a halo out to
-    0.25 with log-uniform radius. The bulk leaves out what the strata hold.
-  * d >= 4: Monte Carlo with the field magnitude divided by the density of
-    a half-and-half mixture (importance sampling): of each block of points,
+  * d >= 3: the singular surrogates |w_k| c(r)/r^(d-1) have an exact mass
+    (closed form in d = 3, a fixed Gauss-Legendre rule over the spherical
+    cap fraction in d >= 4), and randomized quasi-Monte Carlo integrates
+    the bounded residual (field magnitude minus the surrogates) over the
+    whole ball. In d = 3 a cluster of crowded poles (diameter D, well apart
+    from the rest) adds a ring surrogate for its summed weight, which has a
+    closed-form mass too, and two strata about its centre: the ball of
+    radius 4D and a halo out to 0.25 with log-uniform radius. The bulk
+    leaves out what the strata hold.
+  * d >= 4 with crowded poles, or past the dimensions of the Sobol table:
+    Monte Carlo with the field magnitude divided by the density of a
+    half-and-half mixture (importance sampling): of each block of points,
     drawn as one direction and one radius per point, exactly the first half
     is uniform in the ball and the rest lies near uniformly drawn poles.
 
-The sampled integrands are two kernels, `_residual_3d` (d = 3) and
+The sampled integrands are two kernels, `_residual` (RQMC) and
 `_importance_ratio` (Monte Carlo). Per chunk of points they build the
 component-major offsets of fields.py, form r^2 once, and read it for the
 field, the on-pole test and the surrogate or the sampling density. Chunks
 hold at most 2^15 pole-point pairs, so their arrays stay in a core's cache.
 
-The d = 3 RQMC bulk and the d >= 4 Monte Carlo differ only in how a
-replicate draws its points: both run `_replicated_mean`, which owns the
-sums, the estimate, its standard error and the tolerance and budget stops.
-The RQMC bulk's first round (8 replicates x 4096 ball points) depends only
-on the spec seed and ends most calls, so `_first_round` caches it per seed
-as one read-only block (about 0.8 MB, 2.6 MB with the strata's points; at
-most _FIRST_ROUND_SEEDS blocks), and round 0 is one kernel pass over it. A
-later round draws its points afresh from a stateless scrambled Sobol engine
-(`_sobol`: key, dimension, start, count), so calls share no mutable state.
-The engine is numpy only and gives scipy.stats.qmc.Sobol's points bit for
-bit.
+The RQMC bulk and the Monte Carlo differ only in how a replicate draws its
+points: both run `_replicated_mean`, which owns the sums, the estimate, its
+standard error and the tolerance and budget stops. The RQMC bulk's first
+round (8 replicates x 4096 ball points) depends only on the spec seed and
+the dimension and ends most calls, so `_first_round` caches it per seed and
+dimension as one read-only block (about 0.8 MB in d = 3, 2.6 MB with the
+strata's points; at most _FIRST_ROUND_SEEDS blocks), and round 0 is one
+kernel pass over it. A later round draws its points afresh from a stateless
+scrambled Sobol engine (`_sobol`: key, dimension, start, count), so calls
+share no mutable state. The engine is numpy only and gives
+scipy.stats.qmc.Sobol's points bit for bit.
 
 Determinism contract: identical inputs (including the seed) give
 bit-identical results regardless of machine load or thread count. All
@@ -82,9 +85,9 @@ TWO_PI = 2.0 * math.pi
 # cap on the d = 2 zone radii (energies, defects and two-pole integrals)
 DEFAULT_POLE_RADIUS = 0.1
 
-# d = 3 RQMC bulk: replicates, first-round points per replicate, and how
-# many first rounds stay cached (3 x 4096 doubles per replicate, about
-# 0.8 MB per seed; 10 x 4096 with cluster strata)
+# RQMC bulk: replicates, first-round points per replicate, and how many
+# first rounds stay cached (d x 4096 doubles per replicate, about 0.8 MB per
+# seed in d = 3; 10 x 4096 with cluster strata)
 _RQMC_REPS = 8
 _RQMC_FIRST = 4096
 _FIRST_ROUND_SEEDS = 8
@@ -96,10 +99,15 @@ _HALO = 0.25
 _MAP_POINTS = 4096
 # scrambled Sobol: 30-bit digits and, per dimension, the primitive polynomial
 # and initial direction numbers of Joe and Kuo's new-joe-kuo-6.21201 table
-# (the first rows of scipy's copy); the bulk uses 3, the strata 6
+# (the first rows of scipy's copy); the bulk in B^d uses d, the d = 3 strata 6
 _SOBOL_BITS = 30
-_SOBOL_POLY = (1, 3, 7, 11, 13, 19)
-_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3))
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
+                (1, 3, 5, 13), (1, 1, 5, 5, 17))
+# d >= 4 surrogate mass: Gauss-Legendre nodes per piece, and the ratio of the
+# geometric cuts that grade the pieces above |1 - t|
+_MASS_NODES = 16
+_MASS_GRADING = 4.0
 
 
 def unit_ball_volume(d: int) -> float:
@@ -111,8 +119,9 @@ def unit_ball_volume(d: int) -> float:
 class QuadratureSpec:
     """Tolerance, seed and evaluation budget of one integral.
 
-    The dimension picks the method: adaptive cubature (d=2), RQMC (d=3),
-    Monte Carlo (d>=4). QuadratureResult.method names the method that ran.
+    The input picks the method: adaptive cubature (d=2), RQMC (d=3, and
+    d>=4 without crowded poles), Monte Carlo (d>=4 with crowded poles, or
+    d above 8). QuadratureResult.method names the method that ran.
     """
 
     rel_tolerance: float = 1e-3
@@ -130,10 +139,11 @@ class QuadratureSpec:
 class QuadratureResult:
     """Integral estimate with an error figure.
 
-    `error` is the standard error of the mean over replicates for the
-    stochastic methods ("rqmc", "mc") and, for "adaptive", the summed
-    Kronrod-Gauss discrepancy, a conservative estimate rather than a
-    rigorous bound.
+    `method` is "adaptive" (d=2), "rqmc" (d=3, and d>=4 without crowded
+    poles) or "mc" (the other d>=4 inputs). `error` is the standard error
+    of the mean over replicates for the stochastic methods ("rqmc", "mc")
+    and, for "adaptive", the summed Kronrod-Gauss discrepancy, a
+    conservative estimate rather than a rigorous bound.
     """
 
     value: float
@@ -348,7 +358,7 @@ def _energy_adaptive_2d(config, spec):
 
 
 # ---------------------------------------------------------------------------
-# d = 3: exact surrogate mass + RQMC of the bounded residual
+# d >= 3: exact surrogate mass + RQMC of the bounded residual
 # ---------------------------------------------------------------------------
 
 def _cutoff(r, support):
@@ -370,17 +380,20 @@ def _cutoff(r, support):
     return np.subtract(1.0, xi, out=xi)
 
 
-def _residual_3d(positions, weights, supports, pts):
-    """Field magnitude minus the surrogate sum_k |w_k| c(|x-x_k|)/|x-x_k|^2.
+def _residual(positions, weights, supports, pts):
+    """Field magnitude minus the surrogate sum_k |w_k| c(r_k)/r_k^(d-1),
+    r_k = |x - x_k|, at pts of shape (m, d).
 
-    The surrogate matches each pole's leading blow-up |w_k|/r^2, whatever the
-    sign of w_k, so the residual stays bounded. One pass per chunk of points:
-    the component-major offsets and r^2 (see fields.py) feed the field sum
-    and the surrogate's cutoff. A point exactly on a pole (r^2 == 0) would
-    give nan and contributes 0 instead: scrambled Sobol coordinates are
-    30-bit values, so the RQMC bulk can land exactly on a pole at the
-    origin. The floating point warnings of such points are silenced.
+    The surrogate matches each pole's leading blow-up |w_k|/r^(d-1), whatever
+    the sign of w_k, so the residual stays bounded. One pass per chunk of
+    points: the component-major offsets and r^2 (see fields.py) feed the
+    field sum and the surrogate's cutoff; r^(d-1) is (r r)^((d-1)/2), times r
+    in even d. A point exactly on a pole (r^2 == 0) would give nan and
+    contributes 0 instead: scrambled Sobol coordinates are 30-bit values, so
+    the RQMC bulk can land exactly on a pole at the origin. The floating
+    point warnings of such points are silenced.
     """
+    d = positions.shape[1]
     out = np.empty(pts.shape[0])
     for sl in _chunks(pts.shape[0], positions.shape[0], _CACHE_PAIRS):
         diff, r2 = _offsets(positions, pts[sl])
@@ -388,9 +401,13 @@ def _residual_3d(positions, weights, supports, pts):
             r = np.sqrt(r2)
             cut = _cutoff(r, supports[:, None])
             cut *= np.abs(weights)[:, None]
+            if d % 2 == 0:
+                cut /= r
             r *= r
+            if d > 4:
+                r **= (d - 1) // 2
             cut /= r
-            res = _field_mag(diff, r2, weights, 3)
+            res = _field_mag(diff, r2, weights, d)
             res -= _pole_sum(cut)
         res[np.any(r2 == 0.0, axis=0)] = 0.0
         out[sl] = res
@@ -424,6 +441,66 @@ def _surrogate_mass(t, support):
     shell = (np.where(inside, -2.0, 2.0) * g0
              + (1.0 - ts * ts) / (ts * h) * gm - h / ts * g1)
     return 0.5 * (np.where(inside, 6.0, 0.0) + shell) * math.pi * support
+
+
+@functools.cache
+def _gauss_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _cap_fraction(h, d):
+    """Fraction of the sphere S^(d-1) whose first coordinate lies below h.
+
+    With phi = arccos(-h) it is I(phi)/I(pi), I(phi) the integral of
+    sin^(d-2) from 0 to phi, by the recurrence
+    I_n = ((n - 1) I_(n-2) - sin^(n-1) cos) / n from I_0 = phi and
+    I_1 = 1 - cos. h is clipped to [-1, 1]; fmax and fmin send a nan h to
+    -1 (fraction 0).
+    """
+    def integral(phi):
+        sin, cos = np.sin(phi), np.cos(phi)
+        total = phi if d % 2 == 0 else 1.0 - cos
+        for n in range(2 + d % 2, d - 1, 2):
+            total = ((n - 1) * total - sin ** (n - 1) * cos) / n
+        return total
+
+    phi = np.arccos(-np.fmin(np.fmax(h, -1.0), 1.0))
+    return integral(phi) / integral(math.pi)
+
+
+def _cap_mass(t, support, d):
+    """Ball integrals of c(r)/r^(d-1) for pole radii t and supports R.
+
+    The sphere(pole, r) has area |S^(d-1)| r^(d-1) times the fraction of it
+    inside the ball, `_cap_fraction` of h = (1 - t^2 - r^2)/(2 r t), so the
+    mass is |S^(d-1)| times the integral of c(r) F(h(r)) over [0, R]. It is
+    smooth between the cuts 0, |1 - t|, R/2 and R, but for a pole at a small
+    gap |1 - t| its cap varies on the scale of the gap all the way up to
+    R/2, so geometric cuts |1 - t| _MASS_GRADING^k grade [|1 - t|, R/2].
+    Each piece [a, b] gets a fixed Gauss-Legendre rule in s, r - a =
+    (b - a) s^2, which absorbs the cap's (r - |1 - t|)^((d-1)/2) onset.
+    t and R are arrays, one entry per pole; empty pieces add 0.
+    """
+    gap, half = np.abs(1.0 - t), 0.5 * support
+    graded = (gap > 0.0) & (gap < half)
+    levels = np.ceil(np.log(half[graded] / gap[graded])
+                     / math.log(_MASS_GRADING))
+    grid = gap[:, None] * _MASS_GRADING ** np.arange(
+        int(np.max(levels, initial=0.0)) + 1)
+    cuts = np.sort(np.column_stack([np.zeros_like(t), half, support,
+                                    np.minimum(grid, support[:, None])]))
+    a = cuts[:, :-1, None]
+    width = cuts[:, 1:, None] - a
+    s, w = _gauss_legendre(_MASS_NODES)
+    r = a + width * s * s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = ((1.0 - t) * (1.0 + t))[:, None, None] - r * r
+        h /= 2.0 * r * t[:, None, None]
+    f = _cap_fraction(h, d) * _cutoff(r, support[:, None, None])
+    f *= 2.0 * width * s * w
+    return d * unit_ball_volume(d) * np.sum(f, axis=(1, 2))
 
 
 def _replicated_mean(sample, n_rep, draw, doubling, volume, budget, target,
@@ -522,31 +599,57 @@ def _sobol(key, dim, start, m):
 
 
 def _ball_points(u):
-    """Component-major (3, m) unit-ball points from Sobol points (3, m) in
-    [0,1)^3.
+    """Component-major (d, m) unit-ball points from Sobol points (d, m) in
+    [0,1)^d: radius u_0^(1/d) times the direction `_directions` makes of
+    the other coordinates.
 
-    The map (cube-root radius, uniform cosine, uniform azimuth) runs on
-    _MAP_POINTS points at a time, so its temporaries stay in a core's cache.
+    The map runs on _MAP_POINTS points at a time, so its temporaries stay in
+    a core's cache.
     """
     out = np.empty(u.shape)
     for lo in range(0, u.shape[1], _MAP_POINTS):
         cols = slice(lo, lo + _MAP_POINTS)
-        radius = u[0, cols] ** (1.0 / 3.0)
-        mu = 2.0 * u[1, cols] - 1.0
-        beta = TWO_PI * u[2, cols]
-        rs = radius * np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-        np.multiply(rs, np.cos(beta), out=out[0, cols])
-        np.multiply(rs, np.sin(beta), out=out[1, cols])
-        np.multiply(radius, mu, out=out[2, cols])
+        _directions(u[1:, cols], u[0, cols] ** (1.0 / u.shape[0]),
+                    out[:, cols])
     return out
 
 
-def _points(seed, rep, strata, start, m):
+def _directions(v, scale, out):
+    """Write scale times a point of S^(k-1) into out (k, m), made of v
+    (k - 1, m) in [0,1)^(k-1); uniform v gives uniform points.
+
+    Rows 0 and 1 are a circle of radius sqrt(1 - |p|^2) at the angle
+    2 pi v[-1], the other rows a point p of B^(k-2) made of the rest of v:
+    2 v[0] - 1 for k = 3 (uniform cosine), else radius v[0]^(1/(k-2)) times
+    a direction of S^(k-3). The projection of a uniform point of S^(k-1) on
+    k - 2 coordinates is uniform in B^(k-2), and about it the point is
+    uniform on the circle, so the map preserves measure. For k = 4 these
+    are Hopf coordinates.
+    """
+    k = out.shape[0]
+    beta = TWO_PI * v[-1]
+    if k == 2:
+        np.multiply(scale, np.cos(beta), out=out[0])
+        np.multiply(scale, np.sin(beta), out=out[1])
+        return
+    if k == 3:
+        mu = 2.0 * v[0] - 1.0
+        p2 = mu * mu
+        np.multiply(scale, mu, out=out[2])
+    else:
+        p2 = v[0] ** (2.0 / (k - 2))
+        _directions(v[1:-1], scale * np.sqrt(p2), out[2:])
+    rs = scale * np.sqrt(np.maximum(1.0 - p2, 0.0))
+    np.multiply(rs, np.cos(beta), out=out[0])
+    np.multiply(rs, np.sin(beta), out=out[1])
+
+
+def _points(seed, d, rep, strata, start, m):
     """Points start .. start + m - 1 of one replicate, component-major:
-    (3, m) ball points or, with `strata`, (10, m) adding from a 6-D
+    (d, m) ball points or, with `strata` (d = 3), (10, m) adding from a 6-D
     sequence a unit-ball point (inner balls), a unit direction and a
     uniform (halo radii)."""
-    pts = _ball_points(_sobol(derive_key(seed, "rqmc-bulk", rep), 3, start, m))
+    pts = _ball_points(_sobol(derive_key(seed, "rqmc-bulk", rep), d, start, m))
     if not strata:
         return pts
     u = _sobol(derive_key(seed, "rqmc-stratum", rep), 6, start, m)
@@ -555,7 +658,7 @@ def _points(seed, rep, strata, start, m):
 
 
 @functools.lru_cache(maxsize=_FIRST_ROUND_SEEDS)
-def _first_round(seed, strata=False):
+def _first_round(seed, d, strata):
     """Per replicate, read-only views into one block of first-round points
     (`_points` rows, with the stratum rows when `strata`)."""
     # glibc's malloc gives the top of its heap back to the OS whenever more
@@ -565,15 +668,16 @@ def _first_round(seed, strata=False):
     # double a lone pole's call). Dropping one untouched 4 MB array raises
     # that bound and faults no page.
     np.empty(1 << 19)
-    block = np.concatenate([_points(seed, rep, strata, 0, _RQMC_FIRST)
+    block = np.concatenate([_points(seed, d, rep, strata, 0, _RQMC_FIRST)
                             for rep in range(_RQMC_REPS)], axis=1)
     block.flags.writeable = False
     return tuple(block[:, lo:lo + _RQMC_FIRST]
                  for lo in range(0, block.shape[1], _RQMC_FIRST))
 
 
-def _rqmc_bulk(h, spec, budget, target_fn, streams=1):
-    """Scrambled-Sobol mean of a ball integrand, 8 replicates, doubled rounds.
+def _rqmc_bulk(h, spec, d, budget, target_fn, streams=1):
+    """Scrambled-Sobol mean of a ball integrand in B^d, 8 replicates, doubled
+    rounds.
 
     Round 0 runs h once on the `_first_round` block of the spec seed and
     sums each replicate's values as their own slice; a point's value does
@@ -586,18 +690,18 @@ def _rqmc_bulk(h, spec, budget, target_fn, streams=1):
     evals, converged).
     """
     seed, strata = int(spec.seed), streams > 1
-    block = _first_round(seed, strata)[0].base
+    block = _first_round(seed, d, strata)[0].base
 
     def sample(rnd, m):
         if rnd == 0:
             return [np.sum(v) for v in h(block.T).reshape(_RQMC_REPS, m)]
         # doubled rounds: the m points of round rnd >= 1 follow the m drawn
         # before it
-        return [np.sum(h(_points(seed, rep, strata, m, m).T))
+        return [np.sum(h(_points(seed, d, rep, strata, m, m).T))
                 for rep in range(_RQMC_REPS)]
 
     return _replicated_mean(sample, _RQMC_REPS, _RQMC_FIRST, True,
-                            unit_ball_volume(3), budget, target_fn, streams)
+                            unit_ball_volume(d), budget, target_fn, streams)
 
 
 def _clusters(positions, weights):
@@ -655,17 +759,18 @@ def _strata_residual(residual, centres, wabs, radii, pts):
     return total
 
 
-def _energy_rqmc_3d(config, spec):
+def _energy_rqmc(config, spec, supports, clusters):
+    """Surrogate mass plus the RQMC bulk of the residual in B^d, d >= 3, for
+    poles with supports min(0.5, nearest-neighbour distance); `clusters`
+    (d = 3 only) adds their rings and strata."""
+    d = config.dimension
     positions = config.positions
     weights = config.weights
-    supports = np.minimum(0.5, _nearest_neighbor_dists(positions))
     t = np.sqrt(np.sum(positions * positions, axis=1))
-    mass = float(np.sum(np.abs(weights) * _surrogate_mass(t, supports)))
+    mass_of = _surrogate_mass if d == 3 else functools.partial(_cap_mass, d=d)
+    mass = float(np.sum(np.abs(weights) * mass_of(t, supports)))
 
-    h = functools.partial(_residual_3d, positions, weights, supports)
-    # no pole gap below _HALO / _CLUSTER_K (< 0.5): no cluster qualifies
-    clusters = (_clusters(positions, weights)
-                if np.min(supports) * _CLUSTER_K < _HALO else None)
+    h = functools.partial(_residual, positions, weights, supports)
     streams = 1
     if clusters is not None:
         # each cluster's ring surrogate |W_C| (c_0.5 - c_a)(rho)/rho^2
@@ -680,7 +785,7 @@ def _energy_rqmc_3d(config, spec):
         return max(0.75 * spec.rel_tolerance * abs(mass + bulk_est), 1e-14)
 
     budget = max(spec.max_evals, _RQMC_REPS * _RQMC_FIRST * streams)
-    bulk, sigma, evals, converged = _rqmc_bulk(h, spec, budget, target,
+    bulk, sigma, evals, converged = _rqmc_bulk(h, spec, d, budget, target,
                                                streams)
     return QuadratureResult(float(mass + bulk), sigma, evals, converged, "rqmc")
 
@@ -766,10 +871,17 @@ def chui_energy(config: ChargeConfiguration,
     """
     spec = spec or QuadratureSpec()
     config = merge_coincident(config)
-    if config.dimension == 2:
+    d = config.dimension
+    if d == 2:
         return _energy_adaptive_2d(config, spec)
-    if config.dimension == 3:
-        return _energy_rqmc_3d(config, spec)
+    supports = np.minimum(0.5, _nearest_neighbor_dists(config.positions))
+    # no pole gap below _HALO / _CLUSTER_K (< 0.5): no cluster qualifies
+    clusters = (_clusters(config.positions, config.weights)
+                if np.min(supports) * _CLUSTER_K < _HALO else None)
+    # the cluster strata exist in d = 3 only, and the bulk needs d rows of
+    # the Sobol table
+    if d == 3 or (clusters is None and d <= len(_SOBOL_POLY)):
+        return _energy_rqmc(config, spec, supports, clusters)
     return _energy_mc(config, spec)
 
 

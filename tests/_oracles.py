@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 from scipy import integrate
-from scipy.special import ellipe, ellipk
+from scipy.special import betainc, ellipe, ellipk
 
 
 def uniform_energy(n: int) -> float:
@@ -53,6 +53,44 @@ def single_pole_energy_3d(t: float) -> float:
     if t == 1.0:
         return 2.0 * math.pi
     return 2.0 * math.pi * (1.0 + (1.0 - t * t) * math.atanh(t) / t)
+
+
+def single_pole_energy(t: float, d: int) -> float:
+    """int_{B^d} dm(x) / |x - t e|^(d-1), for any d >= 2.
+
+    The sphere about the pole of radius r has area |S^(d-1)| r^(d-1) times
+    the fraction of it inside the ball, which is that of S^(d-1) below
+    h = (1 - t^2 - r^2)/(2 r t) in one coordinate: the regularized
+    incomplete beta I_((1+h)/2)((d-1)/2, (d-1)/2). So the energy is
+    |S^(d-1)| times the integral of that fraction over r in [0, 1 + t],
+    which is 1 up to 1 - t; the rest is one QUADPACK integral with
+    breakpoints (1 - t) 4^k, which follow the fraction's fall on the scale
+    of the gap 1 - t. At t = 1 it is 2 v_(d-1) and at t = 0 it is d v_d,
+    v_k the volume of the unit k-ball.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+
+    def volume(k):
+        return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
+
+    if t == 1.0:
+        return 2.0 * volume(d - 1)
+    area = d * volume(d)
+    if t == 0.0:
+        return area
+    gap = 1.0 - t
+
+    def fraction(r):
+        h = (1.0 - t * t - r * r) / (2.0 * r * t)
+        return betainc(0.5 * (d - 1), 0.5 * (d - 1),
+                       min(max(0.5 * (1.0 + h), 0.0), 1.0))
+
+    cuts = [gap * 4.0 ** k for k in range(1, 60) if gap * 4.0 ** k < 1.0 + t]
+    val, err = integrate.quad(fraction, gap, 1.0 + t, points=cuts or None,
+                              epsabs=0.0, epsrel=1e-13, limit=400)
+    assert err < 1e-12 * val
+    return area * (gap + val)
 
 
 def coaxial_pair_energy_3d(delta: float, w2: float) -> float:

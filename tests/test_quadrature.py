@@ -22,16 +22,16 @@ from chargelab._cubature import integrate_1d
 from chargelab.configurations import _ball_samples, _sphere_points
 from chargelab.fields import _CACHE_PAIRS
 from chargelab.quadrature import (_FIRST_ROUND_SEEDS, DEFAULT_POLE_RADIUS,
-                                  _cutoff, _first_round, _importance_ratio,
-                                  _nearest_neighbor_dists, _residual_3d,
-                                  _surrogate_mass, _zone_rows)
+                                  _cap_mass, _cutoff, _first_round,
+                                  _importance_ratio, _nearest_neighbor_dists,
+                                  _residual, _surrogate_mass, _zone_rows)
 from chargelab.rng import derive_key
 
 from _oracles import (FROZEN_COAXIAL_PAIR_3D, FROZEN_SINGLE_2D,
                       FROZEN_SINGLE_3D, FROZEN_SINGLE_4D_BOUNDARY,
                       FROZEN_UNIFORM_ENERGY, ORACLE_TOL, coaxial_pair_energy_3d,
-                      mc_energy, single_pole_energy_2d, single_pole_energy_3d,
-                      uniform_energy)
+                      mc_energy, single_pole_energy, single_pole_energy_2d,
+                      single_pole_energy_3d, uniform_energy)
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,6 +56,17 @@ class TestOracleSelfConsistency:
     def test_single_pole_3d(self):
         for t, v in FROZEN_SINGLE_3D.items():
             assert abs(single_pole_energy_3d(t) - v) <= ORACLE_TOL
+
+    def test_single_pole_any_d(self):
+        # the cap-fraction integral against the closed forms of d = 2, 3
+        # and the d = 4 boundary value
+        for d, closed in ((2, single_pole_energy_2d),
+                          (3, single_pole_energy_3d)):
+            for t in (FROZEN_SINGLE_2D if d == 2 else FROZEN_SINGLE_3D):
+                expect = closed(t)
+                assert abs(single_pole_energy(t, d) - expect) <= 1e-12 * expect
+        assert (abs(single_pole_energy(1.0, 4) - FROZEN_SINGLE_4D_BOUNDARY)
+                <= 1e-12 * FROZEN_SINGLE_4D_BOUNDARY)
 
     def test_coaxial_pair_3d(self):
         # a zero second weight leaves the single pole at t = 0.5
@@ -208,16 +219,70 @@ class TestNearSpherePole:
 
 class TestHigherDimension:
     def test_boundary_pole_4d(self):
-        res = chui_energy(_single(1.0, 4), QuadratureSpec(rel_tolerance=5e-3,
-                                                          seed=3))
+        spec = QuadratureSpec(rel_tolerance=5e-3, seed=3)
+        assert chui_energy(_single(1.0, 4), spec).method == "rqmc"
+        res = quadrature._energy_mc(_single(1.0, 4), spec)
         assert res.method == "mc"
         diff = abs(res.value - FROZEN_SINGLE_4D_BOUNDARY)
         assert diff <= 4.0 * res.error
 
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 0.9, 1.0 - 1e-12, 1.0])
+    def test_single_charge_converges(self, d, t):
+        tol = 1e-4
+        res = chui_energy(_single(t, d), QuadratureSpec(rel_tolerance=tol))
+        expect = single_pole_energy(t, d)
+        assert res.method == "rqmc" and res.converged
+        assert abs(res.value - expect) <= 3.0 * res.error + tol * expect
+
+    # poles at the origin, inside (with a negative weight) and on the sphere,
+    # as in the mc4_mixed pin, and random interior systems
+    SYSTEMS = {
+        "mixed": lambda: ChargeConfiguration(
+            [[0.0, 0.0, 0.0, 0.0], [0.5, -0.3, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+            [1.0, -0.5, 2.0]),
+        "interior6": lambda: random_config(6, 4, seed=1, interior=True),
+        "interior8": lambda: random_config(8, 4, seed=2, interior=True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_agrees_with_monte_carlo(self, name):
+        cfg = self.SYSTEMS[name]()
+        spec = QuadratureSpec(rel_tolerance=1e-3, seed=7)
+        rqmc = chui_energy(cfg, spec)
+        mc = quadrature._energy_mc(cfg, spec)
+        assert rqmc.method == "rqmc" and mc.method == "mc"
+        assert rqmc.converged and mc.converged
+        assert (abs(rqmc.value - mc.value)
+                <= 3.0 * math.hypot(rqmc.error, mc.error))
+
+    def test_routing(self, monkeypatch):
+        # crowded poles, and dimensions past the Sobol table, stay on Monte
+        # Carlo; nothing else in d >= 4 reaches it
+        pair = ChargeConfiguration([[0.0, 0.0, 0.0, 0.5],
+                                    [0.0, 0.0, 0.0, 0.5001]], [1.0, 1.0])
+        spec = QuadratureSpec(rel_tolerance=3e-3, seed=7)
+        assert chui_energy(pair, spec).method == "mc"
+        past = len(quadrature._SOBOL_POLY) + 1
+        assert chui_energy(_single(0.5, past),
+                           QuadratureSpec(rel_tolerance=3e-2)).method == "mc"
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an unclustered d >= 4 energy ran Monte Carlo")
+
+        monkeypatch.setattr(quadrature, "_energy_mc", forbidden)
+        systems = [self.SYSTEMS["mixed"]()] + [
+            cfg for d in range(4, past)
+            for cfg in (_single(1.0, d), random_config(3, d, seed=d),
+                        random_config(5, d, seed=d, interior=True))]
+        for cfg in systems:
+            assert chui_energy(cfg, spec).method == "rqmc"
+
 
 class TestMonteCarloSampler:
     """The d >= 4 Monte Carlo block: fixed halves of one direction-and-radius
-    draw, weighted by the mixture density."""
+    draw, weighted by the mixture density; and the pooled d >= 4 boundary
+    charge, which runs the RQMC path."""
 
     def test_block_halves(self, monkeypatch):
         # three poles: at the origin, inside and on the sphere
@@ -230,8 +295,8 @@ class TestMonteCarloSampler:
             return ratio(positions, weights, pts)
 
         monkeypatch.setattr(quadrature, "_importance_ratio", recording)
-        res = chui_energy(ChargeConfiguration(pos, [1.0, -0.5, 2.0]),
-                          QuadratureSpec(rel_tolerance=3e-3, seed=7))
+        res = quadrature._energy_mc(ChargeConfiguration(pos, [1.0, -0.5, 2.0]),
+                                    QuadratureSpec(rel_tolerance=3e-3, seed=7))
         assert res.method == "mc"
         assert len(blocks) == res.evals // quadrature._MC_BLOCK
         half = quadrature._MC_BLOCK // 2
@@ -248,12 +313,15 @@ class TestMonteCarloSampler:
     def test_pooled_seeds_unbiased(self):
         # the standard error comes from the spread of the 16 estimates:
         # their own reported errors under-cover
-        values = [chui_energy(_single(1.0, 4),
-                              QuadratureSpec(rel_tolerance=3e-3,
-                                             seed=seed)).value
-                  for seed in range(16)]
-        se = np.std(values, ddof=1) / math.sqrt(len(values))
-        assert abs(np.mean(values) - FROZEN_SINGLE_4D_BOUNDARY) <= 3.0 * se
+        for d, expect in ((4, FROZEN_SINGLE_4D_BOUNDARY),
+                          (5, single_pole_energy(1.0, 5))):
+            runs = [chui_energy(_single(1.0, d),
+                                QuadratureSpec(rel_tolerance=3e-3, seed=seed))
+                    for seed in range(16)]
+            assert {res.method for res in runs} == {"rqmc"}
+            values = [res.value for res in runs]
+            se = np.std(values, ddof=1) / math.sqrt(len(values))
+            assert abs(np.mean(values) - expect) <= 3.0 * se, d
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("m", [4096, 100_000])
@@ -614,9 +682,9 @@ class TestResidualKernel:
         pts = self._probes(pos, supports, radii, np.random.default_rng(1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _residual_3d(pos, w, supports, pts)
+            got = _residual(pos, w, supports, pts)
             single = np.concatenate([
-                _residual_3d(pos, w, supports, pts[j:j + 1])
+                _residual(pos, w, supports, pts[j:j + 1])
                 for j in range(0, len(pts), 97)])
             # a point exactly on a pole contributes exactly 0.0
             on = np.min(np.sum((pts[:, None] - pos[None]) ** 2, axis=2),
@@ -727,8 +795,7 @@ class TestMonteCarloKernel:
         assert np.array_equal(_bits(got), _bits(np.zeros(len(probes))))
 
 
-# the tolerance per dimension keeps one energy call near 0.1 s; d >= 4 is
-# plain Monte Carlo and converges slowest
+# the tolerance per dimension keeps one energy call near 0.1 s
 _PROPERTY_TOL = {2: 1e-3, 3: 3e-3, 4: 2e-2}
 
 
@@ -801,9 +868,10 @@ class TestEnergyProperties:
 
 
 class TestStochasticPins:
-    """Exact results of the d = 3 RQMC path and the d = 4 Monte Carlo path
-    at fixed spec seeds: any change to their arithmetic, however small,
-    fails here.
+    """Exact results of the RQMC path (d = 3 and d = 4) and the d = 4 Monte
+    Carlo path at fixed spec seeds: any change to their arithmetic, however
+    small, fails here. The d = 4 systems without crowded poles, the
+    "mc4_" cases among them, run the RQMC path.
 
     Recorded with numpy 2.4.6 on x86-64. The values run through numpy's
     pow, sin and cos loops, whose last bits may differ on another numpy
@@ -833,7 +901,7 @@ class TestStochasticPins:
             "0x1.8649cf93678dep+4", "0x1.22f6d0c3dc7d4p-8", 32768, True),
         "boundary4": (lambda: chui_energy(
             _single(1.0, 4), QuadratureSpec(rel_tolerance=3e-3, seed=7)),
-            "0x1.0cb9415acf1d2p+3", "0x1.80e67ee6a594bp-6", 196608, True),
+            "0x1.0c191932de1f7p+3", "0x1.4f935cf627ae0p-9", 32768, True),
         # d = 3 poles at the origin, inside (with a negative weight) and on
         # the sphere in one call
         "zones3_mixed": (lambda: chui_energy(
@@ -841,11 +909,17 @@ class TestStochasticPins:
                                  [0.0, 0.6, 0.8]], [1.0, -0.5, 2.0]),
             QuadratureSpec(seed=7)),
             "0x1.63fb3ce8a48f0p+4", "0x1.d419e2d320ef6p-9", 32768, True),
-        # both replicate loops stopped by their budget
+        # both replicate loops, and the RQMC path in d = 3 and d = 4,
+        # stopped by their budget; a crowded d = 4 pair runs Monte Carlo
         "budget4_mc": (lambda: chui_energy(
-            random_config(5, 4, seed=4, interior=True),
+            ChargeConfiguration([[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.5001]],
+                                [1.0, 1.0]),
             QuadratureSpec(rel_tolerance=1e-4, max_evals=300_000, seed=7)),
-            "0x1.c51bb073d1b2ap+5", "0x1.34b5d9e26b4b0p-4", 262144, False),
+            "0x1.1cbe86870df51p+5", "0x1.2c9e78ec78213p-5", 262144, False),
+        "budget4_rqmc": (lambda: chui_energy(
+            random_config(5, 4, seed=4, interior=True),
+            QuadratureSpec(rel_tolerance=1e-5, max_evals=300_000, seed=7)),
+            "0x1.c53cff9363086p+5", "0x1.fe7c48ab7c6c0p-9", 262144, False),
         "budget3_fibonacci_16": (lambda: chui_energy(
             fibonacci_sphere_config(16),
             QuadratureSpec(rel_tolerance=1e-5, max_evals=400_000, seed=7)),
@@ -862,11 +936,11 @@ class TestStochasticPins:
             ChargeConfiguration([[0.0, 0.0, 0.0, 0.0], [0.5, -0.3, 0.0, 0.0],
                                  [0.0, 1.0, 0.0, 0.0]], [1.0, -0.5, 2.0]),
             QuadratureSpec(rel_tolerance=3e-3, seed=7)),
-            "0x1.1f79abbc990e9p+5", "0x1.6a6c6ff4f209ap-4", 131072, True),
+            "0x1.1f796cf2eebfdp+5", "0x1.b3b8a814b0c47p-8", 32768, True),
         "mc4_interior6": (lambda: chui_energy(
             random_config(6, 4, seed=1, interior=True),
             QuadratureSpec(rel_tolerance=3e-3, seed=7)),
-            "0x1.1879ef2e8da20p+6", "0x1.04d4cce42448cp-3", 65536, True),
+            "0x1.189ce4aafb132p+6", "0x1.74a937b24f0cfp-6", 32768, True),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -936,6 +1010,18 @@ class TestFirstRoundCache:
         assert _single3(7) == _pinned("single3_0.5")
         assert _first_round.cache_info().currsize == 2
 
+    def test_keyed_by_dimension(self):
+        # one seed fills one block per dimension, and neither evicts the
+        # other's bits
+        _first_round.cache_clear()
+        assert _single3(7) == _pinned("single3_0.5")
+        assert (_result_bits(TestStochasticPins.CASES["boundary4"][0]())
+                == _pinned("boundary4"))
+        assert _first_round.cache_info().currsize == 2
+        assert _single3(7) == _pinned("single3_0.5")
+        assert _first_round.cache_info().hits == 1
+        assert _first_round(7, 4, False)[0].shape == (4, 4096)
+
     def test_more_seeds_than_bound(self):
         _first_round.cache_clear()
         assert _single3(7) == _pinned("single3_0.5")
@@ -949,7 +1035,7 @@ class TestFirstRoundCache:
         assert _first_round.cache_info().currsize == _FIRST_ROUND_SEEDS
 
     def test_points_read_only(self):
-        points = _first_round(7)
+        points = _first_round(7, 3, False)
         assert len(points) == 8
         for pts in points:
             assert pts.shape == (3, 4096)
@@ -1018,7 +1104,7 @@ class TestSobolEngine:
     KEYS = [(seed, rep) for seed in (0, 1, 7) for rep in (0, 5)]
 
     @pytest.mark.parametrize("tag", ["rqmc-bulk", "rqmc-stratum"])
-    @pytest.mark.parametrize("dim", [3, 6])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
     def test_matches_scipy(self, tag, dim):
         from scipy.stats import qmc
 
@@ -1036,7 +1122,7 @@ class TestSobolEngine:
                                       want.view(np.uint64)), (seed, rep, start)
                 start, m = start + m, start + m
 
-    @pytest.mark.parametrize("dim", [3, 6])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
     def test_balanced_blocks_are_nets(self, dim):
         # in every block of 2^k points starting at a multiple of 2^k, each
         # coordinate hits each dyadic interval of width 2^-k once, and
@@ -1060,7 +1146,8 @@ class TestSobolEngine:
 
 def test_import_defers_scipy_stats():
     # the package runs on numpy alone: with scipy unimportable, importing
-    # chargelab and a lone-pole and a clustered (strata) d = 3 energy run
+    # chargelab, a lone-pole and a clustered (strata) d = 3 energy and a
+    # d = 4 energy run
     # and load no scipy module, and the bulk's first-round cache fills on
     # the first call, not at import
     src = os.path.dirname(os.path.dirname(chargelab.__file__))
@@ -1082,6 +1169,10 @@ def test_import_defers_scipy_stats():
         "clustered = chargelab.chui_energy(pair)\n"
         "assert clustered.method == 'rqmc' and clustered.converged\n"
         "assert cache.cache_info().currsize == 2\n"
+        "b4 = chargelab.ChargeConfiguration([[0.0, 0.0, 0.0, 1.0]], [1.0])\n"
+        "b4 = chargelab.chui_energy(b4)\n"
+        "assert b4.method == 'rqmc' and b4.converged\n"
+        "assert cache.cache_info().currsize == 3\n"
         "assert not [m for m, mod in sys.modules.items()\n"
         "            if m.startswith('scipy') and mod is not None]\n"
         "print(repr(res.value), repr(res.error))\n"
@@ -1142,22 +1233,26 @@ def _quadrature_mass(t, support):
                         cuts=cuts).value
 
 
-def _mpmath_mass(t, support):
-    """The same profile integral in 30-digit mpmath, split at every kink."""
+def _mpmath_mass(t, support, d=3):
+    """The same profile integral in 30-digit mpmath, split at every kink:
+    the taper times the area of sphere(pole, r) inside the ball over
+    r^(d-1), |S^(d-1)| times a regularized incomplete beta."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         t, big_r = mp.mpf(t), mp.mpf(support)
         h = big_r / 2
+        area = 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+        a = mp.mpf(d - 1) / 2
 
         def profile(r):
             s = r / h
             c = 1 if s <= 1 else 2 * s ** 3 - 9 * s ** 2 + 12 * s - 4
             if r <= 1 - t:
-                return 4 * mp.pi * c
+                return area * c
             if r < t - 1:
                 return mp.mpf(0)
-            return c * (2 * mp.pi + mp.pi * (1 - t * t) / (t * r)
-                        - mp.pi * r / t)
+            x = (1 + (1 - t * t - r * r) / (2 * r * t)) / 2
+            return area * c * mp.betainc(a, a, 0, x, regularized=True)
 
         kinks = {mp.mpf(0), h, big_r}
         if abs(1 - t) < big_r:
@@ -1227,6 +1322,42 @@ class TestSurrogateMass:
         assert m_hi <= m_lo * (1.0 + 4.0 * np.finfo(float).eps)
 
 
+class TestCapMass:
+    """The d >= 4 surrogate mass: Gauss-Legendre pieces over the cap
+    fraction, checked in d = 3 against the closed form and in d = 4 and 5
+    against mpmath."""
+
+    # with snapped sphere poles 1 ulp inside and outside
+    _T = [0.0, 0.5, 0.9, 1.0 - 1e-12, float(np.nextafter(1.0, 0.0)), 1.0,
+          float(np.nextafter(1.0, 2.0))]
+
+    @pytest.mark.parametrize("support", _SUPPORTS)
+    def test_closed_form_in_d3(self, support):
+        t = np.array([0.0, 0.5, 1.0 - 1e-12, 1.0])
+        expect = _surrogate_mass(t, support)
+        got = _cap_mass(t, np.full(t.size, support), 3)
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("support", [1e-4, 1e-2, 0.37, 0.5])
+    def test_against_mpmath(self, d, support):
+        expect = [float(_mpmath_mass(t, support, d)) for t in self._T]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cap_mass(np.array(self._T), np.full(len(self._T), support),
+                            d)
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("d", [4, 5, 8])
+    def test_interior_pole(self, d):
+        # a sphere(pole, r) wholly inside: |S^(d-1)| times the taper's 3R/4
+        support = np.array([0.5, 0.1, 1e-3])
+        expect = d * unit_ball_volume(d) * 0.75 * support
+        np.testing.assert_allclose(_cap_mass(np.array([0.0, 0.5, 0.9]),
+                                             support, d),
+                                   expect, rtol=1e-15, atol=0.0)
+
+
 class TestRoundZeroPass:
     """Round 0 of the RQMC bulk is one residual call on the whole first
     round, and its replicate sums equal those of one call per replicate."""
@@ -1238,7 +1369,7 @@ class TestRoundZeroPass:
         cfg = fibonacci_sphere_config(n)
         pos, w = cfg.positions, cfg.weights
         supports = np.minimum(0.5, _nearest_neighbor_dists(pos))
-        first = _first_round(7)
+        first = _first_round(7, 3, False)
         block = first[0].base
         assert block.shape == (3, 8 * 4096) and block.flags.c_contiguous
         assert not block.flags.writeable
@@ -1248,16 +1379,16 @@ class TestRoundZeroPass:
 
         def residual(pts):
             calls.append(pts.shape[0])
-            return _residual_3d(pos, w, supports, pts)
+            return _residual(pos, w, supports, pts)
 
         def round_zero(sample, n_rep, draw, *args):
             got.append(sample(0, draw))
             return 0.0, 0.0, n_rep * draw, True
 
         monkeypatch.setattr(quadrature, "_replicated_mean", round_zero)
-        quadrature._rqmc_bulk(residual, QuadratureSpec(seed=7), 10**6, None)
+        quadrature._rqmc_bulk(residual, QuadratureSpec(seed=7), 3, 10**6, None)
         assert calls == [8 * 4096]
-        expect = [np.sum(_residual_3d(pos, w, supports, pts.T))
+        expect = [np.sum(_residual(pos, w, supports, pts.T))
                   for pts in first]
         assert [float(v).hex() for v in got[0]] == [float(v).hex()
                                                     for v in expect]
